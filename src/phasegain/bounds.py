@@ -11,9 +11,8 @@ from dataclasses import dataclass, asdict
 
 from . import geometry
 from .errors import DegenerateSet, NotPolygon, Unsupported
+from .geometry import TWO_PI
 from .sets import DEFAULT_RESOLUTION, FeasibleSet
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

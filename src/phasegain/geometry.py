@@ -154,43 +154,25 @@ def mean_width(poly: ConvexPolygon, n_samples: int) -> float:
 
 def perimeter(poly: ConvexPolygon) -> float:
     """Perimeter; twice the length for a segment, 0 for a point or empty."""
-    m = len(poly)
-    if m <= 1:
-        return 0.0
-    if m == 2:
-        return 2.0 * abs(poly.vertices[1] - poly.vertices[0])
-    total = 0.0
-    for k in range(m):
-        total += abs(poly.vertices[(k + 1) % m] - poly.vertices[k])
-    return total
+    verts = poly.array
+    return float(np.abs(np.roll(verts, -1) - verts).sum())
 
 
 def _normal_arcs(poly: ConvexPolygon):
-    """Arcs of the normal fan: list of (lo, hi, vertex_index).
+    """Arcs of the normal fan as arrays (lo, hi), one entry per vertex.
 
-    Vertex `vertex_index` is the support argmax for directions in
-    [lo, hi], with hi - lo > 0 and the arcs covering [lo, lo + 2*pi).
-    Only defined for polygons with >= 2 vertices.
+    Vertex k is the support argmax for directions in [lo[k], hi[k]], with
+    hi - lo > 0 and the arcs covering [lo, lo + 2*pi).  The outward normal
+    of edge k -> k+1 ends arc k and starts arc k+1; a segment's two
+    opposite half-edges give its two half-turn arcs.  Only defined for
+    polygons with >= 2 vertices.
     """
-    verts = poly.vertices
-    m = len(verts)
-    if m < 2:
+    verts = poly.array
+    if len(verts) < 2:
         raise ValueError("normal fan needs >= 2 vertices")
-    if m == 2:
-        psi = cmath.phase(verts[1] - verts[0]) - 0.5 * math.pi
-        return [(psi, psi + math.pi, 1), (psi + math.pi, psi + TWO_PI, 0)]
-    psis = []
-    for k in range(m):
-        d = verts[(k + 1) % m] - verts[k]
-        psis.append(cmath.phase(d) - 0.5 * math.pi)
-    arcs = []
-    for k in range(m):
-        lo = psis[k - 1]
-        hi = psis[k]
-        while hi <= lo:
-            hi += TWO_PI
-        arcs.append((lo, hi, k))
-    return arcs
+    psi = np.angle(np.roll(verts, -1) - verts) - 0.5 * math.pi
+    lo = np.roll(psi, 1)
+    return lo, lo + (psi - lo) % TWO_PI
 
 
 def normal_fan(poly: ConvexPolygon):
@@ -200,11 +182,10 @@ def normal_fan(poly: ConvexPolygon):
     [0, 2*pi) and after[i] is the argmax vertex index for directions in
     (boundaries[i], boundaries[i+1]).
     """
-    arcs = _normal_arcs(poly)
-    bounds = np.array([lo % TWO_PI for lo, _, _ in arcs])
-    after = np.array([k for _, _, k in arcs], dtype=int)
-    order = np.argsort(bounds)
-    return bounds[order], after[order]
+    lo, _ = _normal_arcs(poly)
+    bounds = lo % TWO_PI
+    after = np.argsort(bounds)
+    return bounds[after], after
 
 
 def argmax_vertex(poly: ConvexPolygon, theta: float, fan=None) -> int:
@@ -230,22 +211,12 @@ def min_support(poly: ConvexPolygon) -> float:
         raise EmptyPolygon("min_support of an empty polygon")
     if m == 1:
         return -abs(poly.vertices[0])
-    best = math.inf
-    for lo, hi, k in _normal_arcs(poly):
-        v = poly.vertices[k]
-        r = abs(v)
-        if r == 0.0:
-            best = min(best, 0.0)
-            continue
-        a = cmath.phase(v)
-        for theta in (lo, hi):
-            best = min(best, r * math.cos(theta - a))
-        trough = a + math.pi
-        # shift the trough into [lo, hi] modulo 2*pi
-        t = lo + (trough - lo) % TWO_PI
-        if t <= hi:
-            best = min(best, -r)
-    return best
+    lo, hi = _normal_arcs(poly)
+    r, a = np.abs(poly.array), np.angle(poly.array)
+    # the trough shifted into [lo, hi] modulo 2*pi
+    trough = (a + math.pi - lo) % TWO_PI <= hi - lo
+    vals = np.where(trough, -r, np.minimum(r * np.cos(lo - a), r * np.cos(hi - a)))
+    return float(np.where(r > 0.0, vals, 0.0).min())  # +0.0, not -0.0, at the origin
 
 
 def support_integral(poly: ConvexPolygon) -> float:
@@ -259,15 +230,9 @@ def support_integral(poly: ConvexPolygon) -> float:
         raise EmptyPolygon("support_integral of an empty polygon")
     if m == 1:
         return 0.0
-    total = 0.0
-    for lo, hi, k in _normal_arcs(poly):
-        v = poly.vertices[k]
-        r = abs(v)
-        if r == 0.0:
-            continue
-        a = cmath.phase(v)
-        total += r * (math.sin(hi - a) - math.sin(lo - a))
-    return total
+    lo, hi = _normal_arcs(poly)
+    r, a = np.abs(poly.array), np.angle(poly.array)
+    return float((r * (np.sin(hi - a) - np.sin(lo - a))).sum())
 
 
 def _bottom_index(verts) -> int:

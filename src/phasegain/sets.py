@@ -16,10 +16,10 @@ import numpy as np
 
 from . import geometry
 from .errors import BadParameter
+from .geometry import TWO_PI
 
 DEFAULT_RESOLUTION = 4096
 MODULUS_TOL = 1e-12
-TWO_PI = 2.0 * math.pi
 
 
 def _wrap_to(angle: float, center: float) -> float:
@@ -66,7 +66,7 @@ def _check_points(pts) -> tuple:
     if not out:
         raise BadParameter("discrete set needs at least one point")
     for p in out:
-        if not (math.isfinite(p.real) and math.isfinite(p.imag)):
+        if not geometry._is_finite(p):
             raise BadParameter(f"non-finite point {p!r}")
         if abs(p) > 1.0 + MODULUS_TOL:
             raise BadParameter(f"point {p!r} lies outside the unit disk")

@@ -23,15 +23,11 @@ from .errors import (
     NotAGroup,
     TooLarge,
 )
+from .geometry import TWO_PI
 from .sets import DEFAULT_RESOLUTION, FeasibleSet, OnOff, RegularMGon
-
-TWO_PI = 2.0 * math.pi
 
 MINKOWSKI_BUDGET = 1_000_000
 BRUTE_FORCE_CAP = 10_000_000
-
-# full recomputation interval of the running sum, bounds float drift
-RESYNC_INTERVAL = 4096
 
 
 @dataclass(frozen=True)
@@ -46,7 +42,7 @@ class PhasorChannel:
         if not coeffs:
             raise ValueError("channel needs at least one coefficient")
         for h in coeffs:
-            if not (math.isfinite(h.real) and math.isfinite(h.imag)):
+            if not geometry._is_finite(h):
                 raise ValueError(f"non-finite coefficient {h!r}")
         object.__setattr__(self, "coefficients", coeffs)
         if self.direct is not None:
@@ -140,48 +136,47 @@ def solve_angle_sweep(ch: PhasorChannel, fset: FeasibleSet,
 
     Per-antenna argmax assignments are piecewise constant in the sweep
     angle; breakpoints are the normal-fan boundaries of Conv W shifted by
-    each channel phase.  Every visited assignment is feasible, so its
-    |sum w_n h_n| is an attainable gain and the best arc is exact.
+    each channel phase.  Crossing boundary k of antenna n moves the sum by
+    h_n (v_after[k] - v_after[k-1]) whatever the other antennas do, so the
+    sweep is one sort of all events and one cumulative sum: the edge walk
+    around the Minkowski sum of the h_n Conv W.  Every visited assignment
+    is feasible, so the largest |sum| is an attainable gain and exact.
     """
     poly = _sweep_polygon(fset, resolution)
     verts = poly.array
     h = np.asarray(ch.coefficients, dtype=complex)
-    n_ant = len(h)
     if len(poly) == 1:
-        return _finish([poly.vertices[0]] * n_ant, ch, "angle_sweep")
+        return _finish([poly.vertices[0]] * len(h), ch, "angle_sweep")
 
-    phases = np.angle(h)
     bounds, after = geometry.normal_fan(poly)
-
-    def assignment_at_zero():
-        phi = (-phases) % TWO_PI
-        idx = np.searchsorted(bounds, phi, side="right") - 1
-        return after[idx]  # idx == -1 wraps to the last arc
-
-    active = np.flatnonzero(np.abs(h) > 0.0)
-    ev_theta = ((bounds[None, :] + phases[active, None]) % TWO_PI).ravel()
-    ev_ant = np.repeat(active, len(bounds))
-    ev_vert = np.tile(after, len(active))
-    order = np.argsort(ev_theta, kind="stable")
-    ev_ant, ev_vert = ev_ant[order], ev_vert[order]
-
-    def sweep(stop: int | None):
-        assign = assignment_at_zero()
-        s = complex(np.sum(verts[assign] * h))
-        best_val, best_idx = abs(s), -1
-        limit = len(ev_ant) if stop is None else stop + 1
-        for t in range(limit):
-            n, v = ev_ant[t], ev_vert[t]
-            s += (verts[v] - verts[assign[n]]) * h[n]
-            assign[n] = v
-            if (t + 1) % RESYNC_INTERVAL == 0:
-                s = complex(np.sum(verts[assign] * h))
-            if abs(s) > best_val:
-                best_val, best_idx = abs(s), t
-        return assign, best_idx
-
-    _, best_idx = sweep(None)
-    assign, _ = sweep(best_idx) if best_idx >= 0 else (assignment_at_zero(), -1)
+    edges = verts[after] - verts[np.roll(after, 1)]  # the step across each boundary
+    active = np.flatnonzero(h)
+    h_act = h[active]
+    theta = np.add.outer(np.angle(h_act), bounds)
+    theta %= TWO_PI
+    # Each antenna starts in the state just before its own first event, so
+    # an event rounded onto theta = 0 is counted once, by the cumulative sum.
+    first = theta.argmin(axis=1)
+    # Each per-event array is dropped once used: the peak stays near 40 bytes
+    # per event.
+    order = theta.argsort(axis=None, kind="stable")
+    del theta
+    ant, k = np.divmod(order, len(bounds))
+    del order
+    s = edges[k]
+    del k
+    s *= h_act[ant]
+    s0 = np.dot(h_act, verts[after[first - 1]])
+    crossed = np.zeros(len(active), dtype=int)
+    if len(s):
+        s[0] += s0
+        np.cumsum(s, out=s)
+        mag = np.abs(s)
+        best = int(mag.argmax())
+        if mag[best] > abs(s0):
+            crossed = np.bincount(ant[:best + 1], minlength=len(active))
+    assign = np.full(len(h), after[-1])  # zero coefficients: the arc through direction 0
+    assign[active] = after[(first + crossed - 1) % len(bounds)]
     return _finish(verts[assign], ch, "angle_sweep")
 
 

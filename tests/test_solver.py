@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasegain import bounds, sets, solver
 from phasegain.errors import (
@@ -27,13 +28,13 @@ def exhaustive_gain(ch, fset):
     return best
 
 
-def random_instance(rng, max_n=6, max_pts=5):
+def random_instance(rng, max_n=6, max_pts=5, scale=1.0):
     n_ant = int(rng.integers(1, max_n + 1))
     n_pts = int(rng.integers(2, max_pts + 1))
     pts = rng.standard_normal(n_pts) + 1j * rng.standard_normal(n_pts)
     pts /= np.maximum(1.0, np.abs(pts))
     fset = sets.Discrete(tuple(pts))
-    h = rng.standard_normal(n_ant) + 1j * rng.standard_normal(n_ant)
+    h = scale * (rng.standard_normal(n_ant) + 1j * rng.standard_normal(n_ant))
     return solver.PhasorChannel(tuple(h)), fset
 
 
@@ -134,6 +135,16 @@ def test_sweep_continuous_needs_resolution():
 def test_sweep_zero_channel():
     sol = solver.solve_angle_sweep(solver.PhasorChannel((0j, 0j)), W4)
     assert sol.gain == 0.0
+
+
+def test_sweep_event_on_zero_counted_once():
+    # The on/off fan boundary pi/2 shifted by arg(-1j) = -pi/2 lands on sweep
+    # angle 0 up to rounding.  A start state read at theta = 0 that already
+    # includes this event adds its step again, and the sweep reports gain 1.
+    ch = solver.PhasorChannel((-1j, 1))
+    sol = solver.solve_angle_sweep(ch, sets.OnOff())
+    assert sol.gain == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert sol.gain == pytest.approx(solver.brute_force(ch, sets.OnOff()).gain, abs=1e-12)
 
 
 # ----------------------------------------------------------- minkowski
@@ -270,15 +281,19 @@ def test_onoff_subset_exhaustive_matches_sweep(rng):
 
 # ----------------------------------------------------------- invariants
 
-def test_oracle_equivalence(rng):
+@pytest.mark.parametrize("e", [-12, -6, 0, 6, 12])
+def test_oracle_equivalence(rng, e):
     for _ in range(40):
-        ch, fset = random_instance(rng)
+        ch, fset = random_instance(rng, scale=10.0 ** e)
         g1 = solver.solve_angle_sweep(ch, fset).gain
-        g2 = solver.solve_minkowski(ch, fset).gain
         g3 = solver.brute_force(ch, fset).gain
-        scale = max(1.0, g3)
+        scale = max(10.0 ** e, g3)
         assert abs(g1 - g3) <= 1e-9 * scale
-        assert abs(g2 - g3) <= 1e-9 * scale
+        # solve_minkowski prunes collinear vertices with an absolute
+        # tolerance, which is wrong for |h| well below 1
+        if e >= 0:
+            g2 = solver.solve_minkowski(ch, fset).gain
+            assert abs(g2 - g3) <= 1e-9 * scale
 
 
 def test_universal_lower_and_upper_bounds(rng):
@@ -306,6 +321,38 @@ def test_rotation_equivariance(rng):
         g0 = solver.solve_angle_sweep(ch, fset).gain
         g1 = solver.solve_angle_sweep(rotated, fset).gain
         assert abs(g0 - g1) <= 1e-9 * max(1.0, g0)
+
+
+# Coordinates on a 1/8 grid keep every set inside the unit disk and make
+# duplicate and collinear points exactly degenerate.
+_grid = st.integers(-5, 5).map(lambda k: k / 8)
+_point = st.builds(complex, _grid, _grid)
+_feasible = st.one_of(
+    st.lists(_point, min_size=1, max_size=5),
+    st.tuples(_point, _point).map(list),
+    st.lists(_point, min_size=1, max_size=2).flatmap(
+        lambda base: st.lists(st.sampled_from(base), min_size=2, max_size=5)),
+    st.builds(lambda a, b, ks: [a + (k / 4) * (b - a) for k in ks],
+              _point, _point, st.lists(st.integers(0, 4), min_size=2, max_size=5)),
+).map(lambda pts: sets.Discrete(tuple(pts)))
+_phase = st.floats(-math.pi, math.pi)
+_coefficient = st.one_of(
+    st.just(0j), st.builds(lambda r, phi: r * cmath.exp(1j * phi), st.floats(0.1, 1.0), _phase))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fset=_feasible, h=st.lists(_coefficient, min_size=1, max_size=6),
+       e=st.integers(-12, 12), phi=_phase)
+def test_sweep_properties(fset, h, e, phi):
+    ch = solver.PhasorChannel(tuple(10.0 ** e * x for x in h))
+    ideal = solver.ideal_gain(ch)
+    # sums of N terms |h_n w_n| carry rounding relative to this scale
+    tol = 1e-12 * ideal * max(abs(p) for p in fset.points())
+    gain = solver.solve_angle_sweep(ch, fset).gain
+    assert gain == pytest.approx(solver.brute_force(ch, fset).gain, rel=1e-12, abs=tol)
+    assert gain >= bounds.best_constant(fset) * ideal * (1.0 - 1e-12)
+    rotated = solver.PhasorChannel(tuple(cmath.exp(1j * phi) * x for x in ch.coefficients))
+    assert solver.solve_angle_sweep(rotated, fset).gain == pytest.approx(gain, rel=1e-12, abs=tol)
 
 
 def test_rotation_by_group_element_preserves_weight_multiset(rng):
