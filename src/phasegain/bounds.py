@@ -53,15 +53,18 @@ def refined_constant(fset: FeasibleSet, N: int,
     Requires the hull to be a polygon with M >= 2 vertices; a segment
     counts as M = 2.  Decreases monotonically in N towards best_constant.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if not fset.is_polygonal:
         raise NotPolygon(f"{type(fset).__name__} has a non-polygonal hull")
     poly = fset.to_polygon(resolution)
-    m = len(poly)
-    if m < 2:
+    if len(poly) < 2:
         raise NotPolygon("hull degenerates to a point")
-    return geometry.perimeter(poly) / (2.0 * m * N * math.sin(math.pi / (m * N)))
+    return _refined(geometry.perimeter(poly), len(poly), N)
+
+
+def _refined(per: float, m: int, N: int) -> float:
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return per / (2.0 * m * N * math.sin(math.pi / (m * N)))
 
 
 def asymptotic_constants(M: int) -> tuple[float, float]:
@@ -82,14 +85,20 @@ def onoff_small_n_constant(N: int) -> float:
 
 
 def build_report(fset: FeasibleSet, N: int | None = None,
-                 resolution: int = DEFAULT_RESOLUTION) -> BoundReport:
-    """Assemble the full constants report for one feasible set."""
-    poly = fset.to_polygon(resolution)
+                 resolution: int = DEFAULT_RESOLUTION,
+                 poly: geometry.ConvexPolygon | None = None) -> BoundReport:
+    """Assemble the full constants report for one feasible set.
+
+    `poly` is the hull `fset.to_polygon(resolution)`, if the caller has
+    already built it.
+    """
+    if poly is None:
+        poly = fset.to_polygon(resolution)
     per = geometry.perimeter(poly)
     best = per / TWO_PI
     refined = None
     if N is not None and fset.is_polygonal and len(poly) >= 2:
-        refined = refined_constant(fset, N, resolution)
+        refined = _refined(per, len(poly), N)
     return BoundReport(
         perimeter=per,
         best_constant=best,

@@ -40,8 +40,7 @@ def _budget(default: int) -> int:
 
 def _emit(payload: dict, as_csv: bool, rows=None, header=None):
     if not as_csv:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload) + "\n")
         return
     if rows is not None:
         sys.stdout.write(",".join(header) + "\n")
@@ -55,11 +54,11 @@ def _emit(payload: dict, as_csv: bool, rows=None, header=None):
 
 def cmd_analyze(args) -> int:
     fset = _load_set(args.set)
-    report = bounds.build_report(fset, N=args.n, resolution=args.resolution)
+    poly = fset.to_polygon(args.resolution)
+    report = bounds.build_report(fset, N=args.n, resolution=args.resolution, poly=poly)
     payload = report.to_dict()
     payload["set"] = fset.descriptor()
-    payload["hull_vertices"] = [
-        [v.real, v.imag] for v in fset.to_polygon(args.resolution).vertices]
+    payload["hull_vertices"] = [[v.real, v.imag] for v in poly.vertices]
     _emit(payload, args.csv)
     return 0
 
@@ -124,6 +123,7 @@ def cmd_fading(args) -> int:
         trials=args.trials,
         seed=args.seed,
         distribution=args.dist,
+        resolution=args.resolution,
     )
     records, rows = fading.convergence_experiment(cfg, workers=args.workers)
     if args.csv_out:
@@ -155,7 +155,7 @@ def cmd_oracle_compare(args) -> int:
         fset = from_descriptor(
             {"type": "discrete", "points": [[p.real, p.imag] for p in pts]})
         h = (rng.standard_normal(n_ant) + 1j * rng.standard_normal(n_ant))
-        ch = solver.PhasorChannel(tuple(h))
+        ch = solver.PhasorChannel(h)
         gains = [
             solver.solve_angle_sweep(ch, fset).gain,
             solver.solve_minkowski(ch, fset, budget=_budget(solver.MINKOWSKI_BUDGET)).gain,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, solver
-from .sets import FeasibleSet
+from .sets import DEFAULT_RESOLUTION, FeasibleSet
 
 DISTRIBUTIONS = ("gaussian", "constant_modulus")
 
@@ -27,6 +27,7 @@ class FadingConfig:
     seed: int
     distribution: str = "gaussian"
     sigma: float = 1.0  # per-sample amplitude scale; gaussian variance is sigma^2
+    resolution: int = DEFAULT_RESOLUTION  # hull samples of a continuous set
 
     def __post_init__(self):
         if self.distribution not in DISTRIBUTIONS:
@@ -67,8 +68,7 @@ def sample_channel(cfg: FadingConfig, N: int, trial: int) -> solver.PhasorChanne
         h = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2.0)
     else:
         h = np.exp(2j * math.pi * rng.random(N))
-    h = cfg.sigma * h
-    return solver.PhasorChannel(tuple(h))
+    return solver.PhasorChannel(cfg.sigma * h)
 
 
 def expected_modulus(cfg: FadingConfig) -> float:
@@ -81,7 +81,7 @@ def expected_modulus(cfg: FadingConfig) -> float:
 def _run_trial(args):
     cfg, N, trial = args
     ch = sample_channel(cfg, N, trial)
-    sol = solver.solve_angle_sweep(ch, cfg.fset)
+    sol = solver.solve_angle_sweep(ch, cfg.fset, resolution=cfg.resolution)
     return sol.gain, sol.ideal_gain, sol.ratio
 
 
@@ -98,7 +98,7 @@ def convergence_experiment(cfg: FadingConfig, workers: int = 1):
     else:
         results = [_run_trial(t) for t in tasks]
 
-    constant = bounds.best_constant(cfg.fset)
+    constant = bounds.best_constant(cfg.fset, cfg.resolution)
     target = expected_modulus(cfg) * constant
     records = []
     rows = []

@@ -8,10 +8,10 @@ exact for finite W and are validated against exhaustive search.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
+import functools
 import json
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,48 +28,80 @@ from .sets import DEFAULT_RESOLUTION, FeasibleSet, OnOff, RegularMGon
 
 MINKOWSKI_BUDGET = 1_000_000
 BRUTE_FORCE_CAP = 10_000_000
+_BLANK = string.whitespace + ","  # a CSV row of only these is blank
 
 
-@dataclass(frozen=True)
+_floats = functools.partial(np.array, dtype=float)
+
+
+def _csv_floats(lines: list) -> np.ndarray:
+    # loadtxt converts in C, without a Python string per field
+    if not lines:
+        return np.empty(0)
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _pairs(parse, values, what: str) -> np.ndarray:
+    """`parse(values)`, rows of two numbers [re, im], as one complex128 array."""
+    try:
+        arr = parse(values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: every entry must be two numbers re, im ({exc})") from None
+    if arr.shape != (0,) and (arr.ndim != 2 or arr.shape[1] != 2):  # (0,): no entries
+        raise ValueError(f"{what}: every entry must be two numbers re, im")
+    return arr.reshape(-1, 2).view(complex).ravel()  # bitwise complex(re, im)
+
+
 class PhasorChannel:
-    """Channel coefficients h_1..h_N plus an optional direct path h_0."""
+    """Channel coefficients h_1..h_N plus an optional direct path h_0.
 
-    coefficients: tuple
-    direct: complex | None = None
+    `h` holds the coefficients as a read-only complex128 array;
+    `coefficients` holds the same values as a tuple of Python complex.
+    """
 
-    def __post_init__(self):
-        coeffs = tuple(complex(h) for h in self.coefficients)
-        if not coeffs:
+    def __init__(self, coefficients, direct: complex | None = None):
+        h = np.array(coefficients, dtype=complex)
+        if h.ndim != 1 or not len(h):
             raise ValueError("channel needs at least one coefficient")
-        for h in coeffs:
-            if not geometry._is_finite(h):
-                raise ValueError(f"non-finite coefficient {h!r}")
-        object.__setattr__(self, "coefficients", coeffs)
-        if self.direct is not None:
-            object.__setattr__(self, "direct", complex(self.direct))
+        finite = np.isfinite(h)
+        if not finite.all():
+            raise ValueError(f"non-finite coefficient {complex(h[~finite][0])!r}")
+        h.flags.writeable = False
+        self.h = h
+        self.direct = None if direct is None else complex(direct)
+
+    @functools.cached_property
+    def coefficients(self) -> tuple:
+        return tuple(self.h.tolist())
 
     def __len__(self):
-        return len(self.coefficients)
+        return len(self.h)
+
+    def __repr__(self):
+        return f"PhasorChannel({self.h!r}, direct={self.direct!r})"
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PhasorChannel":
+        if "h" not in obj:
+            raise ValueError('channel JSON needs an "h" list of [re, im] pairs')
         direct = obj.get("direct")
         if direct is not None:
-            direct = complex(direct[0], direct[1])
-        return cls(tuple(complex(p[0], p[1]) for p in obj["h"]), direct=direct)
+            direct = _pairs(_floats, [direct], 'channel "direct"')[0]
+        return cls(_pairs(_floats, obj["h"], 'channel "h"'), direct=direct)
 
     @classmethod
     def from_csv_text(cls, text: str) -> "PhasorChannel":
+        """One `re,im` row per antenna, blank rows skipped; a `direct,re,im`
+        row anywhere sets the direct path (the last one wins)."""
         direct = None
-        coeffs = []
-        for row in csv.reader(io.StringIO(text)):
-            if not row or not "".join(row).strip():
-                continue
-            if row[0].strip() == "direct":
-                direct = complex(float(row[1]), float(row[2]))
-            else:
-                coeffs.append(complex(float(row[0]), float(row[1])))
-        return cls(tuple(coeffs), direct=direct)
+        rows = []
+        for line in text.splitlines():
+            head, _, rest = line.partition(",")
+            if head.strip() == "direct":
+                direct = _pairs(_floats, [rest.split(",")], "channel row direct,re,im")[0]
+            elif line.strip(_BLANK):
+                rows.append(line)
+        return cls(_pairs(_csv_floats, rows, "channel rows"), direct=direct)
 
     @classmethod
     def load(cls, path: str) -> "PhasorChannel":
@@ -81,9 +113,9 @@ class PhasorChannel:
         return cls.from_csv_text(text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeamformingSolution:
-    weights: tuple
+    weights: np.ndarray  # read-only complex128, one weight per antenna
     gain: float
     ideal_gain: float
     ratio: float
@@ -91,7 +123,7 @@ class BeamformingSolution:
 
     def to_dict(self) -> dict:
         return {
-            "weights": [[w.real, w.imag] for w in self.weights],
+            "weights": np.stack((self.weights.real, self.weights.imag), axis=1).tolist(),
             "gain": self.gain,
             "ideal_gain": self.ideal_gain,
             "ratio": self.ratio,
@@ -101,13 +133,14 @@ class BeamformingSolution:
 
 def ideal_gain(ch: PhasorChannel) -> float:
     """sum_n |h_n|, the unconstrained coherent-combining gain."""
-    return float(sum(abs(h) for h in ch.coefficients))
+    return float(np.abs(ch.h).sum())
 
 
 def _finish(weights, ch: PhasorChannel, method: str,
             extra: complex = 0j, ideal: float | None = None) -> BeamformingSolution:
-    weights = tuple(complex(w) for w in weights)
-    gain = abs(extra + sum(w * h for w, h in zip(weights, ch.coefficients)))
+    weights = np.asarray(weights, dtype=complex)
+    weights.flags.writeable = False
+    gain = abs(extra + np.dot(weights, ch.h))
     if ideal is None:
         ideal = ideal_gain(ch)
     ratio = gain / ideal if ideal > 0.0 else 1.0
@@ -117,7 +150,7 @@ def _finish(weights, ch: PhasorChannel, method: str,
 def greedy_quantize(ch: PhasorChannel, fset: FeasibleSet,
                     resolution: int = DEFAULT_RESOLUTION) -> BeamformingSolution:
     """Round each antenna to the set member best aligned with -theta_n."""
-    weights = [fset.project(-cmath.phase(h), resolution) for h in ch.coefficients]
+    weights = [fset.project(-phi, resolution) for phi in np.angle(ch.h).tolist()]
     return _finish(weights, ch, "greedy")
 
 
@@ -144,9 +177,9 @@ def solve_angle_sweep(ch: PhasorChannel, fset: FeasibleSet,
     """
     poly = _sweep_polygon(fset, resolution)
     verts = poly.array
-    h = np.asarray(ch.coefficients, dtype=complex)
+    h = ch.h
     if len(poly) == 1:
-        return _finish([poly.vertices[0]] * len(h), ch, "angle_sweep")
+        return _finish(np.full(len(h), poly.vertices[0]), ch, "angle_sweep")
 
     bounds, after = geometry.normal_fan(poly)
     edges = verts[after] - verts[np.roll(after, 1)]  # the step across each boundary
@@ -197,7 +230,7 @@ def solve_minkowski(ch: PhasorChannel, fset: FeasibleSet,
 
     cur = None
     assigns = None
-    for hn in ch.coefficients:
+    for hn in ch.h.tolist():
         if hn == 0:
             if cur is None:
                 cur, assigns = [0j], [(verts[0],)]
@@ -226,11 +259,11 @@ def brute_force(ch: PhasorChannel, fset: FeasibleSet,
     if n_comb > cap:
         raise TooLarge(f"|W|^N = {n_comb} exceeds cap {cap}")
     acc = np.zeros(1, dtype=complex)
-    for hn in ch.coefficients:
-        acc = (acc[:, None] + (pts * hn)[None, :]).ravel()
+    for terms in np.multiply.outer(ch.h, pts):
+        acc = (acc[:, None] + terms).ravel()
     k = int(np.argmax(np.abs(acc)))
     digits = []
-    for _ in ch.coefficients:
+    for _ in range(len(ch)):
         digits.append(k % len(pts))
         k //= len(pts)
     weights = pts[digits[::-1]]
@@ -249,13 +282,10 @@ def ris_solve(ch: PhasorChannel, M: int) -> BeamformingSolution:
     if ch.direct is None:
         raise ValueError("ris_solve needs a channel with a direct path")
     fset = RegularMGon(M)
-    aug = PhasorChannel((ch.direct,) + ch.coefficients)
+    aug = PhasorChannel(np.concatenate(([ch.direct], ch.h)))
     sol = solve_angle_sweep(aug, fset)
-    w0 = sol.weights[0]
-    weights = []
-    for w in sol.weights[1:]:
-        k = round(cmath.phase(w / w0) * M / TWO_PI) % M
-        weights.append(cmath.exp(2j * math.pi * k / M))
+    k = np.rint(np.angle(sol.weights[1:] / sol.weights[0]) * M / TWO_PI) % M
+    weights = np.exp(2j * math.pi * k / M)
     ideal = abs(ch.direct) + ideal_gain(ch)
     return _finish(weights, ch, "ris", extra=ch.direct, ideal=ideal)
 
@@ -287,5 +317,5 @@ def onoff_subset_check(ch: PhasorChannel, exhaustive: bool = False):
         sol = brute_force(ch, OnOff(), cap=2 ** 25)
     else:
         sol = solve_angle_sweep(ch, OnOff())
-    mask = tuple(abs(w - 1.0) < 0.5 for w in sol.weights)
+    mask = tuple((np.abs(sol.weights - 1.0) < 0.5).tolist())
     return mask, sol.ratio

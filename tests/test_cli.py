@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from phasegain import bounds, cli, sets
+import phasegain
+from phasegain import bounds, cli, sets, solver
 
 REGULAR4 = '{"type": "regular", "M": 4}'
 
@@ -54,6 +59,20 @@ def test_analyze_csv_output(capsys):
     fields = dict(line.split(",", 1) for line in out.strip().splitlines())
     assert float(fields["best_constant"]) == pytest.approx(
         (4 / math.pi) * math.sin(math.pi / 4), abs=1e-12)
+
+
+def test_analyze_builds_the_hull_once(capsys, monkeypatch):
+    builds = []
+    to_polygon = sets.FeasibleSet.to_polygon
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        return to_polygon(self, *args, **kwargs)
+
+    monkeypatch.setattr(sets.FeasibleSet, "to_polygon", counted)
+    payload = run_json(capsys, "analyze", REGULAR4, "--n", "8")
+    assert len(builds) == 1
+    assert payload["refined_constant"] == bounds.refined_constant(sets.RegularMGon(4), 8)
 
 
 def test_analyze_malformed_descriptor(capsys):
@@ -112,6 +131,67 @@ def test_solve_direct_path_needs_regular(capsys, tmp_path):
     assert "regular" in err
 
 
+@pytest.mark.parametrize("text,name", [
+    ("1,0\n0.5\n", "ch.csv"),                       # a row with one number
+    ("1,0,2\n", "ch.csv"),                          # a row with three numbers
+    ("1,0\nx,1\n", "ch.csv"),                       # a field that is not a number
+    ("direct,1\n1,0\n", "ch.csv"),                  # a direct row without im
+    ("\n \n", "ch.csv"),                            # no rows at all
+    ('{"direct": [1, 0]}', "ch.json"),              # no "h"
+    ('{"h": [[1, 0], [2]]}', "ch.json"),            # an entry that is not a pair
+    ('{"h": [1, 0]}', "ch.json"),                   # numbers instead of pairs
+    ('{"h": [[1, 0]], "direct": [1]}', "ch.json"),  # a direct path that is not a pair
+])
+def test_solve_malformed_channel_exits_1(capsys, tmp_path, text, name):
+    code, out, err = run(capsys, "solve", REGULAR4, write_channel(tmp_path, text, name))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_solve_channel_rows_blank_whitespace_and_direct(capsys, tmp_path):
+    ch = write_channel(tmp_path, "\n 1 ,\t0 \n  \n , \ndirect,1,0\n\n-1,0\n")
+    payload = run_json(capsys, "solve", '{"type": "regular", "M": 2}', ch)
+    assert payload["method"] == "ris"
+    assert len(payload["weights"]) == 2
+    assert payload["gain"] == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("desc,text,method", [
+    (REGULAR4, "0.7,-0.2\n-0.3,0.9\n1.1,0.4\n", "sweep"),
+    (REGULAR4, "0.7,-0.2\n-0.3,0.9\n1.1,0.4\n", "greedy"),
+    ('{"type": "regular", "M": 8}', "direct,0.3,0.1\n0.7,-0.2\n-0.3,0.9\n", "auto"),
+])
+def test_solve_prints_one_json_line(capsys, tmp_path, desc, text, method):
+    path = write_channel(tmp_path, text)
+    code, out, err = run(capsys, "solve", desc, path, "--method", method)
+    assert code == 0, err
+    assert out.endswith("\n") and out.count("\n") == 1
+    fset = sets.from_descriptor(json.loads(desc))
+    ch = solver.PhasorChannel.load(path)
+    if ch.direct is not None:
+        sol = solver.ris_solve(ch, fset.M)
+    elif method == "greedy":
+        sol = solver.greedy_quantize(ch, fset)
+    else:
+        sol = solver.solve_angle_sweep(ch, fset)
+    assert json.loads(out) == dict(sol.to_dict(), set=fset.descriptor())
+
+
+def test_python_m_phasegain(tmp_path):
+    src = str(Path(phasegain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phasegain", "solve", REGULAR4,
+         write_channel(tmp_path, "1,0\n0,1\n")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["gain"] == pytest.approx(2.0, abs=1e-12)
+
+
 def test_solve_missing_channel_file(capsys, tmp_path):
     code, _, _ = run(capsys, "solve", REGULAR4, str(tmp_path / "nope.csv"))
     assert code == 1
@@ -161,6 +241,20 @@ def test_fading_deterministic(capsys, tmp_path):
     assert p1 == p2
     assert [r["N"] for r in p1["records"]] == [8, 16]
     assert all(len(r["p_norm_estimates"]) == 2 for r in p1["records"])
+
+
+def test_fading_continuous_set(capsys):
+    arc = '{"type": "arc", "phi_min": -2, "phi_max": 2}'
+    code, out, err = run(capsys, "fading", arc, "--resolution", "256",
+                         "--n-list", "8,16", "--trials", "2", "--csv")
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert lines[0] == "N,trial,gain,ideal_gain,ratio"
+    assert len(lines) == 5
+    c = bounds.best_constant(sets.Arc(-2.0, 2.0), 256)
+    for line in lines[1:]:
+        _, _, gain, ideal, _ = (float(x) for x in line.split(","))
+        assert c * ideal * (1 - 1e-12) <= gain <= ideal * (1 + 1e-12)
 
 
 def test_fading_csv_out(capsys, tmp_path):

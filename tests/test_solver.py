@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
@@ -74,6 +75,60 @@ def test_channel_json_parsing(tmp_path):
     ch = solver.PhasorChannel.load(str(p))
     assert ch.direct == 1j
     assert ch.coefficients == (1 + 0j, -1j)
+
+
+# Edge values: signed zeros, subnormals, extremes and 17-digit fractions.
+EDGE_PAIRS = [(0.0, -0.0), (-0.0, 0.0), (5e-324, -2.2250738585072014e-308),
+              (1.7976931348623157e308, -1e-300), (0.1, -1 / 3), (2.0 / 3, 1e22)]
+
+
+def bits(z):
+    return np.asarray(z, dtype=complex).view(np.int64)
+
+
+def test_channel_loaders_are_bitwise_exact(tmp_path, rng):
+    scales = 10.0 ** rng.integers(-300, 300, (500, 1))
+    pairs = EDGE_PAIRS + [tuple(x) for x in rng.standard_normal((500, 2)) * scales]
+    text = ["%.17g,%.17g" % p for p in pairs]
+    expected = [complex(float(re), float(im)) for re, im in (row.split(",") for row in text)]
+    # blank rows, whitespace around fields and a direct row in the middle
+    text[3] = " \t" + text[3].replace(",", " , ") + "  "
+    csv_text = "\n".join(text[:5] + ["", "  ", " , ", "direct, 0.5 ,-0.25"] + text[5:]) + "\n"
+    p = tmp_path / "ch.csv"
+    p.write_text(csv_text)
+    ch = solver.PhasorChannel.load(str(p))
+    assert np.array_equal(bits(ch.h), bits(expected))
+    assert ch.direct == 0.5 - 0.25j
+    p = tmp_path / "ch.json"
+    p.write_text('{"h": [%s], "direct": [0.5, -0.25]}' % ", ".join(
+        "[%.17g, %.17g]" % (z.real, z.imag) for z in expected))
+    ch = solver.PhasorChannel.load(str(p))
+    # JSON reads "-0" as the integer 0, so the reference is built from the parsed values
+    parsed = json.loads(p.read_text())["h"]
+    assert np.array_equal(bits(ch.h), bits([complex(re, im) for re, im in parsed]))
+    assert ch.direct == 0.5 - 0.25j
+
+
+def test_channel_array_and_tuple_views():
+    src = np.array([1 + 2j, -0.5j, 3.0])
+    ch = solver.PhasorChannel(src)
+    src[0] = 99.0  # the channel keeps its own copy
+    assert ch.coefficients == (1 + 2j, -0.5j, 3 + 0j)
+    assert isinstance(ch.coefficients, tuple)
+    assert all(type(c) is complex for c in ch.coefficients)
+    assert ch.h.dtype == np.complex128 and len(ch) == 3
+    with pytest.raises(ValueError):
+        ch.h[0] = 0.0
+    sol = solver.solve_angle_sweep(ch, W4)
+    assert sol.weights.dtype == np.complex128 and len(sol.weights) == 3
+    with pytest.raises(ValueError):
+        sol.weights[0] = 0.0
+
+
+@pytest.mark.parametrize("coefficients", [(), (1, math.nan), (1, 1j * math.inf), ((1, 2),)])
+def test_channel_rejects_bad_coefficients(coefficients):
+    with pytest.raises(ValueError):
+        solver.PhasorChannel(coefficients)
 
 
 # -------------------------------------------------------------- greedy
