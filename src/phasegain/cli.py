@@ -154,14 +154,16 @@ def cmd_oracle_compare(args) -> int:
         pts /= np.maximum(1.0, np.abs(pts))
         fset = from_descriptor(
             {"type": "discrete", "points": [[p.real, p.imag] for p in pts]})
-        h = (rng.standard_normal(n_ant) + 1j * rng.standard_normal(n_ant))
+        # |h| spans 1e-12..1e12, so that no solver may lean on a unit scale
+        h = 10.0 ** rng.uniform(-12.0, 12.0) * (
+            rng.standard_normal(n_ant) + 1j * rng.standard_normal(n_ant))
         ch = solver.PhasorChannel(h)
         gains = [
             solver.solve_angle_sweep(ch, fset).gain,
             solver.solve_minkowski(ch, fset, budget=_budget(solver.MINKOWSKI_BUDGET)).gain,
             solver.brute_force(ch, fset, cap=_budget(solver.BRUTE_FORCE_CAP)).gain,
         ]
-        scale = max(max(gains), 1.0)
+        scale = max(gains) or solver.ideal_gain(ch)
         worst = max(worst, (max(gains) - min(gains)) / scale)
     payload = {
         "instances": args.instances,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class ConvexPolygon:
     """
 
     vertices: tuple = ()
-    eps: float = field(default=EPS_HULL, compare=False, repr=False)
 
     def __post_init__(self):
         verts = tuple(complex(v) for v in self.vertices)
@@ -59,7 +58,7 @@ class ConvexPolygon:
         if len(verts) >= 3:
             m = len(verts)
             for k in range(m):
-                if _cross(verts[k], verts[(k + 1) % m], verts[(k + 2) % m]) <= self.eps:
+                if _cross(verts[k], verts[(k + 1) % m], verts[(k + 2) % m]) <= EPS_HULL:
                     raise ValueError("vertices are not strictly convex CCW")
         elif len(verts) == 2 and verts[0] == verts[1]:
             raise ValueError("duplicate vertices in a 2-vertex polygon")
@@ -85,11 +84,11 @@ class SupportEvaluation:
     argmax_vertex: int
 
 
-def convex_hull(points, eps: float = EPS_HULL) -> ConvexPolygon:
+def convex_hull(points) -> ConvexPolygon:
     """Minimal CCW hull of a point cloud (monotone chain).
 
     Duplicate and collinear points are removed using the absolute
-    cross-product tolerance `eps`.
+    cross-product tolerance EPS_HULL.
     """
     pts = [complex(p) for p in points]
     if not pts:
@@ -105,7 +104,7 @@ def convex_hull(points, eps: float = EPS_HULL) -> ConvexPolygon:
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= eps:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= EPS_HULL:
                 out.pop()
             out.append(p)
         return out
@@ -115,7 +114,7 @@ def convex_hull(points, eps: float = EPS_HULL) -> ConvexPolygon:
     hull = lower[:-1] + upper[:-1]
     if len(hull) == 0:  # fully collinear input collapses both chains
         hull = [pts[0], pts[-1]]
-    return ConvexPolygon(tuple(hull), eps=eps)
+    return ConvexPolygon(tuple(hull))
 
 
 def support(poly: ConvexPolygon, theta: float) -> SupportEvaluation:
@@ -235,104 +234,76 @@ def support_integral(poly: ConvexPolygon) -> float:
     return float((r * (np.sin(hi - a) - np.sin(lo - a))).sum())
 
 
-def _bottom_index(verts) -> int:
-    return min(range(len(verts)), key=lambda i: (verts[i].imag, verts[i].real))
+# A vertex of a merged edge walk is kept only where the walk turns by more
+# than the rounding its coordinates can carry: they come from the products
+# h_n * v and from one sum per merge level, each off by a few units of eps
+# times the operands' magnitude S.  Dropping a vertex whose turn is below
+# the bound moves the boundary by at most about TURN_TOL * S.
+TURN_TOL = 16 * np.finfo(float).eps
 
 
-def _edge_sequence(verts):
-    """Edges (angle, vector, end_index) in CCW order from the bottom vertex.
+def _edge_angles(verts: np.ndarray):
+    """Bottom vertex (lowest, then leftmost) and the edge angles from it.
 
-    A 2-vertex polygon contributes the two opposite half-edges, so the
-    merge below handles segments with no special casing.
+    Walked CCW from the bottom vertex, the edge angles rise through
+    [0, 2*pi).  A 2-vertex input gives its two half-edges, a 1-vertex
+    input one zero edge.
     """
-    m = len(verts)
-    start = _bottom_index(verts)
-    cycle = [(k % m, (k + 1) % m) for k in range(start, start + m)]
-    if m == 2:
-        cycle = [(start, 1 - start), (1 - start, start)]
-    edges = []
-    for i, j in cycle:
-        d = verts[j] - verts[i]
-        ang = cmath.phase(d) % TWO_PI
-        edges.append((ang, d, j))
-    return start, edges
+    start = int(np.lexsort((verts.real, verts.imag))[0])
+    walk = np.concatenate((verts[start:], verts[:start + 1]))
+    return start, np.angle(walk[1:] - walk[:-1]) % TWO_PI
 
 
-def minkowski_sum_indexed(averts, bverts, eps: float = EPS_HULL):
-    """Minkowski sum by the rotating edge merge, with contributor tracking.
+def minkowski_sum_indexed(averts, bverts):
+    """Minkowski sum by one merge of the two edge tables, with contributors.
 
-    Inputs are CCW strictly convex vertex sequences (1, 2 or >= 3 points).
-    Returns (vertices, contribs) where contribs[k] = (i, j) identifies the
-    summand vertices with vertices[k] == averts[i] + bverts[j].
+    Inputs are CCW convex vertex cycles (1, 2 or >= 3 points, repeats
+    allowed).  Returns
+    (vertices, (i, j)): a CCW cycle and two index arrays with
+    vertices[k] == averts[i[k]] + bverts[j[k]].
     """
-    averts = [complex(v) for v in averts]
-    bverts = [complex(v) for v in bverts]
-    if not averts or not bverts:
+    a = np.asarray(averts, dtype=complex)
+    b = np.asarray(bverts, dtype=complex)
+    if not len(a) or not len(b):
         raise EmptyPolygon("minkowski sum with an empty polygon")
-    if len(averts) == 1:
-        pts = [averts[0] + v for v in bverts]
-        contribs = [(0, j) for j in range(len(bverts))]
-    elif len(bverts) == 1:
-        pts = [v + bverts[0] for v in averts]
-        contribs = [(i, 0) for i in range(len(averts))]
-    else:
-        sa, ea = _edge_sequence(averts)
-        sb, eb = _edge_sequence(bverts)
-        i = j = 0
-        ca, cb = sa, sb
-        pts = [averts[sa] + bverts[sb]]
-        contribs = [(sa, sb)]
-        while i < len(ea) or j < len(eb):
-            take_a = take_b = False
-            if i < len(ea) and j < len(eb):
-                if abs(ea[i][0] - eb[j][0]) <= 1e-12:
-                    take_a = take_b = True
-                elif ea[i][0] < eb[j][0]:
-                    take_a = True
-                else:
-                    take_b = True
-            elif i < len(ea):
-                take_a = True
-            else:
-                take_b = True
-            step = 0j
-            if take_a:
-                step += ea[i][1]
-                ca = ea[i][2]
-                i += 1
-            if take_b:
-                step += eb[j][1]
-                cb = eb[j][2]
-                j += 1
-            pts.append(pts[-1] + step)
-            contribs.append((ca, cb))
-        pts.pop()  # the final step closes the cycle
-        contribs.pop()
-        pts, contribs = _prune_collinear(pts, contribs, eps)
-    start = min(range(len(pts)), key=lambda k: (pts[k].real, pts[k].imag))
-    pts = pts[start:] + pts[:start]
-    contribs = contribs[start:] + contribs[:start]
-    return pts, contribs
+    sa, ang_a = _edge_angles(a)
+    sb, ang_b = _edge_angles(b)
+    # Vertex k of the walk is reached by crossing merged edges 0..k; each
+    # side's contributor is the end of the last of its edges crossed.  Only
+    # the count crossed on each side matters, so rounding that swaps two
+    # nearly parallel edges of one side changes nothing.  On a tie between
+    # the sides, the vertex between the two edges is pruned as collinear.
+    from_a = np.argsort(np.concatenate((ang_a, ang_b)), kind="stable") < len(a)
+    crossed_a = np.cumsum(from_a)
+    i = (crossed_a + sa) % len(a)
+    j = (np.arange(sb + 1, sb + 1 + len(from_a)) - crossed_a) % len(b)
+    pts = a[i] + b[j]
+    keep = _corners(pts, np.abs(a).max() + np.abs(b).max())
+    return pts[keep], (i[keep], j[keep])
 
 
-def _prune_collinear(pts, contribs, eps):
-    """Drop duplicate and collinear vertices from a CCW cycle."""
-    if len(pts) <= 2:
-        return pts, contribs
-    keep_pts, keep_contribs = [], []
-    m = len(pts)
-    for k in range(m):
-        prev = keep_pts[-1] if keep_pts else pts[k - 1]
-        nxt = pts[(k + 1) % m]
-        if abs(pts[k] - prev) <= eps and keep_pts:
-            continue
-        if _cross(prev, pts[k], nxt) <= eps and abs(nxt - prev) > eps:
-            continue
-        keep_pts.append(pts[k])
-        keep_contribs.append(contribs[k])
-    if not keep_pts:  # everything collapsed to (numerically) one point
-        keep_pts, keep_contribs = [pts[0]], [contribs[0]]
-    return keep_pts, keep_contribs
+def _edges_out(pts: np.ndarray) -> np.ndarray:
+    """pts[k + 1] - pts[k] around a closed walk."""
+    closed = np.concatenate((pts, pts[:1]))
+    return closed[1:] - closed[:-1]
+
+
+def _corners(pts: np.ndarray, scale: float) -> np.ndarray:
+    """Indices of the corners of a closed convex walk, in order.
+
+    A vertex is a corner where the walk turns left, or reverses, by more
+    than the rounding bound TURN_TOL * scale * (|d_in| + |d_out|).  Points
+    closer than TURN_TOL * scale to the next one are merged into it first.
+    A walk with no corner is a point: its first vertex is kept.
+    """
+    tol = TURN_TOL * scale
+    idx = np.flatnonzero(np.abs(_edges_out(pts)) > tol)
+    d_out = _edges_out(pts[idx])
+    d_in = np.concatenate((d_out[-1:], d_out[:-1]))
+    turn = d_in.conjugate() * d_out  # (dot, cross) of the two edges
+    bound = tol * (np.abs(d_in) + np.abs(d_out))
+    idx = idx[(turn.imag > bound) | (turn.real < -bound)]
+    return idx if len(idx) else np.zeros(1, dtype=int)
 
 
 def minkowski_sum(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:

@@ -20,11 +20,12 @@ from .geometry import TWO_PI
 
 DEFAULT_RESOLUTION = 4096
 MODULUS_TOL = 1e-12
+_PROJECT_BLOCK = 1 << 18  # (angle, member) scores held at once by project
 
 
-def _wrap_to(angle: float, center: float) -> float:
-    """Wrap angle into [center - pi, center + pi)."""
-    return angle - TWO_PI * math.floor((angle - center) / TWO_PI + 0.5)
+def _wrap_to(angle: np.ndarray, center: float) -> np.ndarray:
+    """Wrap angles into [center - pi, center + pi)."""
+    return angle - TWO_PI * np.floor((angle - center) / TWO_PI + 0.5)
 
 
 class FeasibleSet:
@@ -47,15 +48,27 @@ class FeasibleSet:
             raise BadParameter("resolution must be >= 3 for continuous sets")
         return geometry.convex_hull(self.boundary_samples(resolution))
 
-    def project(self, phi: float, resolution: int = DEFAULT_RESOLUTION) -> complex:
-        """argmax over the set of Re(e^{-j phi} w), ties to the lowest index."""
+    def project(self, phi, resolution: int = DEFAULT_RESOLUTION):
+        """argmax over the set of Re(e^{-j phi} w), ties to the lowest index.
+
+        `phi` may be an array of angles; the result is then an array of the
+        same shape, one member per angle.
+        """
+        phis = np.asarray(phi, dtype=float)
+        w = self._project(phis.ravel(), resolution).reshape(phis.shape)
+        return w if phis.ndim else complex(w)
+
+    def _project(self, phis: np.ndarray, resolution: int) -> np.ndarray:
         if self.is_discrete:
             pts = np.asarray(self.points(), dtype=complex)
-            vals = (np.exp(-1j * phi) * pts).real
-            return complex(pts[int(np.argmax(vals))])
-        samples = self.boundary_samples(resolution)
-        vals = (np.exp(-1j * phi) * samples).real
-        return complex(samples[int(np.argmax(vals))])
+        else:
+            pts = self.boundary_samples(resolution)
+        best = np.empty(len(phis), dtype=int)
+        rows = max(1, _PROJECT_BLOCK // len(pts))
+        for s in range(0, len(phis), rows):
+            rot = np.exp(-1j * phis[s:s + rows])
+            best[s:s + rows] = np.multiply.outer(rot, pts).real.argmax(axis=1)
+        return pts[best]
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -152,10 +165,9 @@ class Arc(FeasibleSet):
         phis = np.linspace(self.phi_min, self.phi_max, resolution)
         return self.radius * np.exp(1j * phis)
 
-    def project(self, phi: float, resolution: int = DEFAULT_RESOLUTION) -> complex:
-        t = _wrap_to(phi, 0.5 * (self.phi_min + self.phi_max))
-        t = min(self.phi_max, max(self.phi_min, t))
-        return self.radius * cmath.exp(1j * t)
+    def _project(self, phis: np.ndarray, resolution: int) -> np.ndarray:
+        t = _wrap_to(phis, 0.5 * (self.phi_min + self.phi_max))
+        return self.radius * np.exp(1j * np.clip(t, self.phi_min, self.phi_max))
 
     def descriptor(self):
         return {
@@ -184,8 +196,8 @@ class ShiftedCircle(FeasibleSet):
         phis = np.arange(resolution) * (TWO_PI / resolution)
         return self.center + self.radius * np.exp(1j * phis)
 
-    def project(self, phi: float, resolution: int = DEFAULT_RESOLUTION) -> complex:
-        return self.center + self.radius * cmath.exp(1j * phi)
+    def _project(self, phis: np.ndarray, resolution: int) -> np.ndarray:
+        return self.center + self.radius * np.exp(1j * phis)
 
     def descriptor(self):
         return {
@@ -244,6 +256,6 @@ def from_descriptor(desc: dict) -> FeasibleSet:
                                  float(desc["radius"]))
         if kind == "ris":
             return RisLorentz(float(desc["alpha"]), float(desc["beta"]))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise BadParameter(f"malformed {kind!r} descriptor: {exc}") from exc
     raise BadParameter(f"unknown set type {kind!r}")

@@ -150,8 +150,7 @@ def _finish(weights, ch: PhasorChannel, method: str,
 def greedy_quantize(ch: PhasorChannel, fset: FeasibleSet,
                     resolution: int = DEFAULT_RESOLUTION) -> BeamformingSolution:
     """Round each antenna to the set member best aligned with -theta_n."""
-    weights = [fset.project(-phi, resolution) for phi in np.angle(ch.h).tolist()]
-    return _finish(weights, ch, "greedy")
+    return _finish(fset.project(-np.angle(ch.h), resolution), ch, "greedy")
 
 
 def _sweep_polygon(fset: FeasibleSet, resolution: int | None):
@@ -215,38 +214,42 @@ def solve_angle_sweep(ch: PhasorChannel, fset: FeasibleSet,
 
 def solve_minkowski(ch: PhasorChannel, fset: FeasibleSet,
                     budget: int = MINKOWSKI_BUDGET) -> BeamformingSolution:
-    """Exact optimum via the iterated Minkowski sum of h_n * Conv W.
+    """Exact optimum via the Minkowski sum of the h_n * Conv W.
 
-    The running sum polygon carries, per vertex, the feasible weights that
-    produce it, so the maximizer comes with a certificate.
+    The sum is merged pairwise in a balanced tree; each merge keeps the
+    contributor pair of every vertex it makes.  From the vertex of largest
+    modulus, one walk down those back-pointers reads off the feasible
+    weights that produce it, so the maximizer comes with a certificate.
     """
     if not fset.is_discrete:
         raise ContinuousSetNotSupported("Minkowski solver needs a finite set")
-    poly = fset.to_polygon()
-    verts = list(poly.vertices)
+    verts = fset.to_polygon().array
     if len(ch) * len(verts) > budget:
         raise BudgetExceeded(
             f"N*|V| = {len(ch) * len(verts)} exceeds budget {budget}")
 
-    cur = None
-    assigns = None
-    for hn in ch.h.tolist():
-        if hn == 0:
-            if cur is None:
-                cur, assigns = [0j], [(verts[0],)]
-            else:
-                assigns = [a + (verts[0],) for a in assigns]
-            continue
-        q = [v * hn for v in verts]
-        if cur is None:
-            cur = q
-            assigns = [(v,) for v in verts]
+    def merge(lo, hi):
+        """Sum of h_n * Conv W over n in [lo, hi), and its back-pointer tree."""
+        if hi - lo == 1:
+            return ch.h[lo] * verts, lo  # h_n = 0 gives repeats of 0, merged as one
+        mid = (lo + hi) // 2
+        a, left = merge(lo, mid)
+        b, right = merge(mid, hi)
+        pts, contribs = geometry.minkowski_sum_indexed(a, b)
+        return pts, (contribs, left, right)
+
+    def walk(node, k):
+        if isinstance(node, tuple):
+            (i, j), left, right = node
+            walk(left, i[k])
+            walk(right, j[k])
         else:
-            cur, contribs = geometry.minkowski_sum_indexed(cur, q)
-            assigns = [assigns[i] + (verts[j],) for i, j in contribs]
-    k = max(range(len(cur)), key=lambda i: abs(cur[i]))
-    sol = _finish(assigns[k], ch, "minkowski")
-    return sol
+            weights[node] = verts[k]
+
+    weights = np.empty(len(ch), dtype=complex)
+    pts, tree = merge(0, len(ch))
+    walk(tree, int(np.abs(pts).argmax()))
+    return _finish(weights, ch, "minkowski")
 
 
 def brute_force(ch: PhasorChannel, fset: FeasibleSet,

@@ -81,6 +81,9 @@ def test_analyze_malformed_descriptor(capsys):
     assert "error" in err
     code, _, err = run(capsys, "analyze", '{"type": "wat"}')
     assert code == 1
+    code, _, err = run(capsys, "analyze", '{"type": "regular", "M": 1e400}')
+    assert code == 1
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------- solve

@@ -138,3 +138,5 @@ def test_from_descriptor_rejects_garbage():
         sets.from_descriptor({"M": 4})
     with pytest.raises(BadParameter):
         sets.from_descriptor({"type": "regular"})
+    with pytest.raises(BadParameter):
+        sets.from_descriptor({"type": "regular", "M": float("inf")})  # JSON 1e400

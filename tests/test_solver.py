@@ -148,11 +148,22 @@ def test_greedy_matches_exhaustive_on_small_case():
     assert sol.gain == pytest.approx(exhaustive_gain(ch, W4), abs=1e-12)
 
 
-def test_greedy_single_antenna_is_projection():
+def test_greedy_single_antenna_is_projection(rng):
+    # each antenna is rounded on its own, to exactly what project returns;
+    # h = -1j puts W_2 on a tie, which goes to the lowest index
     fset = sets.Discrete((0.2 + 0.3j, -0.8j, 0.9))
     sol = solver.greedy_quantize(solver.PhasorChannel((1 + 0j,)), fset)
     assert sol.weights[0] == fset.project(0.0)
     assert sol.gain == pytest.approx(abs(fset.project(0.0)))
+    h = np.concatenate(([1.0, -1j, 0.0], rng.standard_normal(5) + 1j * rng.standard_normal(5)))
+    ch = solver.PhasorChannel(h)
+    for fset in (sets.Discrete((0.2 + 0.3j, -0.8j, 0.9, -0.8j)), sets.CustomSamples((0.5, 0.5j)),
+                 W2, sets.RegularMGon(4096), sets.OnOff(), sets.Arc(-2.0, 2.0, 0.8),
+                 sets.ShiftedCircle(0.3j, 0.5), sets.RisLorentz(1.6, 0.2)):
+        sol = solver.greedy_quantize(ch, fset, resolution=512)
+        expected = [fset.project(-phi, 512) for phi in np.angle(ch.h).tolist()]
+        assert sol.weights.tolist() == expected
+    assert solver.greedy_quantize(solver.PhasorChannel((-1j,)), W2).weights[0] == 1.0
 
 
 # --------------------------------------------------------- angle sweep
@@ -344,11 +355,8 @@ def test_oracle_equivalence(rng, e):
         g3 = solver.brute_force(ch, fset).gain
         scale = max(10.0 ** e, g3)
         assert abs(g1 - g3) <= 1e-9 * scale
-        # solve_minkowski prunes collinear vertices with an absolute
-        # tolerance, which is wrong for |h| well below 1
-        if e >= 0:
-            g2 = solver.solve_minkowski(ch, fset).gain
-            assert abs(g2 - g3) <= 1e-9 * scale
+        g2 = solver.solve_minkowski(ch, fset).gain
+        assert abs(g2 - g3) <= 1e-9 * scale
 
 
 def test_universal_lower_and_upper_bounds(rng):
@@ -408,6 +416,25 @@ def test_sweep_properties(fset, h, e, phi):
     assert gain >= bounds.best_constant(fset) * ideal * (1.0 - 1e-12)
     rotated = solver.PhasorChannel(tuple(cmath.exp(1j * phi) * x for x in ch.coefficients))
     assert solver.solve_angle_sweep(rotated, fset).gain == pytest.approx(gain, rel=1e-12, abs=tol)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fset=_feasible, h=st.lists(_coefficient, min_size=1, max_size=6),
+       e=st.sampled_from(range(-12, 13)))  # st.integers seldom reaches the ends
+def test_minkowski_properties(fset, h, e):
+    ch = solver.PhasorChannel(tuple(10.0 ** e * x for x in h))
+    tol = 1e-12 * solver.ideal_gain(ch) * max(abs(p) for p in fset.points())
+    sol = solver.solve_minkowski(ch, fset)
+    assert sol.gain == pytest.approx(solver.brute_force(ch, fset).gain, rel=1e-12, abs=tol)
+    assert set(sol.weights.tolist()) <= set(fset.points())
+
+
+def test_minkowski_matches_sweep_at_large_n(rng):
+    # brute force cannot reach N = 2048, so the independent sweep is the reference
+    ch = solver.PhasorChannel(rng.standard_normal(2048) + 1j * rng.standard_normal(2048))
+    sol = solver.solve_minkowski(ch, W4)
+    assert sol.gain == pytest.approx(solver.solve_angle_sweep(ch, W4).gain, rel=1e-9)
+    assert abs(np.dot(sol.weights, ch.h)) == pytest.approx(sol.gain, rel=1e-12)
 
 
 def test_rotation_by_group_element_preserves_weight_multiset(rng):
