@@ -58,7 +58,7 @@ def cmd_analyze(args) -> int:
     report = bounds.build_report(fset, N=args.n, resolution=args.resolution, poly=poly)
     payload = report.to_dict()
     payload["set"] = fset.descriptor()
-    payload["hull_vertices"] = [[v.real, v.imag] for v in poly.vertices]
+    payload["hull_vertices"] = np.stack((poly.array.real, poly.array.imag), axis=1).tolist()
     _emit(payload, args.csv)
     return 0
 
@@ -78,16 +78,9 @@ def cmd_solve(args) -> int:
         sol = solver.solve_minkowski(ch, fset, budget=_budget(solver.MINKOWSKI_BUDGET))
     elif method == "oracle":
         sol = solver.brute_force(ch, fset, cap=_budget(solver.BRUTE_FORCE_CAP))
-    elif method == "sweep":
-        res = args.resolution if not fset.is_discrete else None
-        sol = solver.solve_angle_sweep(ch, fset, resolution=res)
-    else:  # auto: exact sweep for discrete, greedy for continuous
-        if fset.is_discrete:
-            sol = solver.solve_angle_sweep(ch, fset)
-        else:
-            print("warning: continuous set, falling back to greedy rounding",
-                  file=sys.stderr)
-            sol = solver.greedy_quantize(ch, fset, resolution=args.resolution)
+    else:  # sweep, and auto: exact for discrete sets, exact up to the hull
+        # resolution for continuous ones
+        sol = solver.solve_angle_sweep(ch, fset, resolution=args.resolution)
     payload = sol.to_dict()
     payload["set"] = fset.descriptor()
     _emit(payload, args.csv)

@@ -6,6 +6,11 @@ imaginary part) comes first.  Degenerate polygons with 0, 1 or 2 vertices
 are allowed; a 2-vertex polygon is a segment, whose perimeter is twice
 its length so that perimeter = integral of the support function holds
 uniformly.
+
+The hull and the strict-convexity check decide every turn by the exact
+sign of an orientation determinant (`_orient`), so the vertices they keep
+depend neither on the scale of the points nor on how finely a curve was
+sampled.
 """
 
 from __future__ import annotations
@@ -18,9 +23,17 @@ import numpy as np
 
 from .errors import EmptyInput, EmptyPolygon
 
-EPS_HULL = 1e-12
-
 TWO_PI = 2.0 * math.pi
+
+# Shewchuk's orient2d error bound ("Adaptive precision floating-point
+# arithmetic and fast robust geometric predicates", 1997): where the
+# rounded determinant exceeds it times |detleft| + |detright|, its sign is
+# the exact sign.  The bound is relative, so it does not hold where the
+# products may have underflowed; below _ORIENT_TINY the sign is computed
+# exactly instead.
+_U = np.finfo(float).eps / 2.0  # unit roundoff, 2**-53
+_ORIENT_BOUND = (3.0 + 16.0 * _U) * _U
+_ORIENT_TINY = np.finfo(float).tiny / _U ** 2
 
 
 def _is_finite(z: complex) -> bool:
@@ -32,48 +45,85 @@ def _cross(o: complex, a: complex, b: complex) -> float:
     return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
 
 
-def _canonical_rotation(vertices):
-    """Rotate the vertex cycle so the lexicographic minimum comes first."""
-    if len(vertices) <= 1:
-        return tuple(vertices)
-    start = min(range(len(vertices)), key=lambda i: (vertices[i].real, vertices[i].imag))
-    return tuple(vertices[start:]) + tuple(vertices[:start])
+def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact sign of cross(b - a, c - a), elementwise over complex arrays.
+
+    +1 where a, b, c turn counter-clockwise, -1 where they turn clockwise,
+    0 where they are collinear.  A float filter decides almost every
+    triple; the rest are evaluated in integer arithmetic.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ac, bc = a - c, b - c
+        detleft = ac.real * bc.imag
+        detright = ac.imag * bc.real
+        det = detleft - detright
+        detsum = np.abs(detleft, out=detleft)
+        detsum += np.abs(detright, out=detright)
+        # NaN or inf from overflow fails both comparisons: undecided too
+        sure = np.abs(det) > _ORIENT_BOUND * detsum
+        sure &= detsum >= _ORIENT_TINY
+    sign = np.sign(det)
+    if not sure.all():
+        unsure = np.flatnonzero(~sure)
+        ac, bc = ac[unsure], bc[unsure]
+        # A difference of floats rounds to 0 only where it is 0, so with a
+        # zero factor in both products det is exactly 0.
+        zero = ((ac.real == 0) | (bc.imag == 0)) & ((ac.imag == 0) | (bc.real == 0))
+        sign[unsure[zero]] = 0
+        for k in unsure[~zero]:
+            sign[k] = _exact_orient(a[k], b[k], c[k])
+    return sign
+
+
+def _exact_orient(a: complex, b: complex, c: complex) -> int:
+    """Sign of cross(b - a, c - a) in integer arithmetic.
+
+    Every finite float is an integer over a power of two, so the six
+    coordinates are brought to their largest denominator.
+    """
+    ratios = [x.as_integer_ratio() for x in (a.real, a.imag, b.real, b.imag, c.real, c.imag)]
+    den = max(d for _, d in ratios)
+    ax, ay, bx, by, cx, cy = (n * (den // d) for n, d in ratios)
+    det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (det > 0) - (det < 0)
 
 
 @dataclass(frozen=True)
 class ConvexPolygon:
     """Strictly convex polygon, CCW, canonically rotated.
 
-    Construction validates strict convexity for >= 3 vertices and applies
-    the canonical rotation, so equality between polygons is testable.
+    Construction validates strict convexity for >= 3 vertices by the exact
+    orientation sign and applies the canonical rotation, so equality
+    between polygons is testable.  `array` holds the vertices as a
+    read-only complex128 array.
     """
 
     vertices: tuple = ()
 
     def __post_init__(self):
-        verts = tuple(complex(v) for v in self.vertices)
-        for v in verts:
-            if not _is_finite(v):
-                raise ValueError(f"non-finite vertex {v!r}")
+        verts = np.array(self.vertices, dtype=complex).ravel()
+        finite = np.isfinite(verts)
+        if not finite.all():
+            raise ValueError(f"non-finite vertex {complex(verts[~finite][0])!r}")
         if len(verts) >= 3:
-            m = len(verts)
-            for k in range(m):
-                if _cross(verts[k], verts[(k + 1) % m], verts[(k + 2) % m]) <= EPS_HULL:
-                    raise ValueError("vertices are not strictly convex CCW")
+            closed = np.concatenate((verts, verts[:2]))
+            if not (_orient(closed[:-2], closed[1:-1], closed[2:]) > 0).all():
+                raise ValueError("vertices are not strictly convex CCW")
         elif len(verts) == 2 and verts[0] == verts[1]:
             raise ValueError("duplicate vertices in a 2-vertex polygon")
-        object.__setattr__(self, "vertices", _canonical_rotation(verts))
+        if len(verts):
+            k = np.lexsort((verts.imag, verts.real))[0]
+            verts = np.concatenate((verts[k:], verts[:k]))
+        verts.flags.writeable = False
+        object.__setattr__(self, "vertices", tuple(verts.tolist()))
+        object.__setattr__(self, "_array", verts)
 
     def __len__(self):
         return len(self.vertices)
 
     @property
     def array(self) -> np.ndarray:
-        arr = self.__dict__.get("_array")
-        if arr is None:
-            arr = np.asarray(self.vertices, dtype=complex)
-            object.__setattr__(self, "_array", arr)
-        return arr
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -84,37 +134,54 @@ class SupportEvaluation:
     argmax_vertex: int
 
 
-def convex_hull(points) -> ConvexPolygon:
-    """Minimal CCW hull of a point cloud (monotone chain).
+def _chain(pts: np.ndarray) -> np.ndarray:
+    """Lower hull chain of distinct, lexicographically sorted points.
 
-    Duplicate and collinear points are removed using the absolute
-    cross-product tolerance EPS_HULL.
+    A point is dropped where two survivors that straddle it in sort order
+    do not turn strictly left around it: it lies on or above their
+    segment, so it is no vertex of the lower hull.  Each pass tests every
+    inner survivor at once against its two neighbours, and against one
+    neighbour paired with the survivor s places away on the other side
+    (clamped to the ends).  s doubles while those far pairs drop points
+    and restarts at 2 once they drop none, so a run of points hidden
+    behind one far point goes in O(log n) passes, not one pass per point.
+    Once every neighbour triple turns left, the survivors form a strictly
+    convex chain, and no far pair can drop a point.
     """
-    pts = [complex(p) for p in points]
-    if not pts:
+    s = 2
+    while len(pts) > 2:
+        before, mid, after = pts[:-2], pts[1:-1], pts[2:]
+        keep = _orient(before, mid, after) > 0
+        if keep.all():
+            break
+        inner = np.arange(1, len(pts) - 1)
+        far = ((_orient(before, mid, pts[np.minimum(inner + s, len(pts) - 1)]) > 0)
+               & (_orient(pts[np.maximum(inner - s, 0)], mid, after) > 0))
+        pts = pts[np.concatenate(([True], keep & far, [True]))]
+        s = 2 * s if not far.all() else 2
+    return pts
+
+
+def convex_hull(points) -> ConvexPolygon:
+    """Minimal CCW hull of a point cloud.
+
+    One lexicographic sort, after which duplicate points are dropped, then
+    the lower and the upper chain by simultaneous pruning passes
+    (`_chain`).  Every turn is decided by the exact orientation sign, so
+    collinear points are removed exactly and strict vertices are kept, at
+    any scale.
+    """
+    pts = np.asarray(points, dtype=complex).ravel()
+    if not len(pts):
         raise EmptyInput("convex_hull of an empty point list")
-    for p in pts:
-        if not _is_finite(p):
-            raise ValueError(f"non-finite point {p!r}")
-    pts = sorted(set((p.real, p.imag) for p in pts))
-    pts = [complex(x, y) for x, y in pts]
+    finite = np.isfinite(pts)
+    if not finite.all():
+        raise ValueError(f"non-finite point {complex(pts[~finite][0])!r}")
+    pts = np.sort(pts)  # by real part, then imaginary part
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
     if len(pts) == 1:
-        return ConvexPolygon((pts[0],))
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= EPS_HULL:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:  # fully collinear input collapses both chains
-        hull = [pts[0], pts[-1]]
-    return ConvexPolygon(tuple(hull))
+        return ConvexPolygon(pts)
+    return ConvexPolygon(np.concatenate((_chain(pts)[:-1], _chain(pts[::-1])[:-1])))
 
 
 def support(poly: ConvexPolygon, theta: float) -> SupportEvaluation:
@@ -319,7 +386,7 @@ def scale_rotate(poly: ConvexPolygon, h: complex) -> ConvexPolygon:
     """Multiply every vertex by h; h = 0 collapses to the origin."""
     if h == 0:
         return ConvexPolygon((0j,)) if len(poly) else poly
-    return ConvexPolygon(tuple(v * h for v in poly.vertices))
+    return ConvexPolygon(poly.array * h)
 
 
 def contains(poly: ConvexPolygon, z: complex, eps: float = 1e-9) -> bool:

@@ -8,7 +8,7 @@ objective is linear so only the hull boundary ever matters.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,12 +41,26 @@ class FeasibleSet:
         raise NotImplementedError
 
     def to_polygon(self, resolution: int = DEFAULT_RESOLUTION) -> geometry.ConvexPolygon:
-        """Convex hull of the set (exact for discrete, inscribed for continuous)."""
-        if self.is_discrete:
-            return geometry.convex_hull(self.points())
-        if resolution < 3:
-            raise BadParameter("resolution must be >= 3 for continuous sets")
-        return geometry.convex_hull(self.boundary_samples(resolution))
+        """Convex hull of the set (exact for discrete, inscribed for continuous).
+
+        Built once per resolution and kept on the instance; a discrete
+        set's hull does not depend on the resolution.
+        """
+        key = None if self.is_discrete else resolution
+        poly = self._hulls.get(key)
+        if poly is None:
+            if self.is_discrete:
+                poly = geometry.convex_hull(self.points())
+            elif resolution < 3:
+                raise BadParameter("resolution must be >= 3 for continuous sets")
+            else:
+                poly = geometry.convex_hull(self.boundary_samples(resolution))
+            self._hulls[key] = poly
+        return poly
+
+    @functools.cached_property
+    def _hulls(self) -> dict:
+        return {}
 
     def project(self, phi, resolution: int = DEFAULT_RESOLUTION):
         """argmax over the set of Re(e^{-j phi} w), ties to the lowest index.
@@ -125,7 +139,11 @@ class RegularMGon(FeasibleSet):
             raise BadParameter("M must be >= 1")
 
     def points(self):
-        return tuple(cmath.exp(2j * math.pi * k / self.M) for k in range(self.M))
+        return self._points
+
+    @functools.cached_property
+    def _points(self) -> tuple:
+        return tuple(np.exp(2j * math.pi * np.arange(self.M) / self.M).tolist())
 
     def descriptor(self):
         return {"type": "regular", "M": self.M}

@@ -113,12 +113,18 @@ def test_solve_methods_agree(capsys, tmp_path):
     assert gains["greedy"] <= gains["sweep"] + 1e-12
 
 
-def test_solve_continuous_auto_warns(capsys, tmp_path):
-    ch = write_channel(tmp_path, "1,0\n")
-    code, out, err = run(capsys, "solve", '{"type": "circle", "center": [0, 0.5], "radius": 0.5}', ch)
+def test_solve_continuous_auto_sweeps(capsys, tmp_path):
+    ch = write_channel(tmp_path, "1,0\n0.2,0.9\n-0.7,0.4\n")
+    circle = '{"type": "circle", "center": [0, 0.5], "radius": 0.5}'
+    code, out, err = run(capsys, "solve", circle, ch, "--resolution", "64")
     assert code == 0
-    assert "greedy" in err
-    assert json.loads(out)["method"] == "greedy"
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["method"] == "angle_sweep"
+    assert payload == run_json(capsys, "solve", circle, ch, "--method", "sweep",
+                               "--resolution", "64")
+    greedy = run_json(capsys, "solve", circle, ch, "--method", "greedy", "--resolution", "64")
+    assert payload["gain"] >= greedy["gain"]
 
 
 def test_solve_direct_path(capsys, tmp_path):

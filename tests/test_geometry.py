@@ -1,9 +1,12 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phasegain import bounds, sets
 from phasegain import geometry as G
 from phasegain.errors import EmptyInput, EmptyPolygon
 
@@ -72,6 +75,71 @@ def test_hull_is_ccw(rng):
         v = poly.vertices
         for k in range(len(v)):
             assert G._cross(v[k], v[(k + 1) % len(v)], v[(k + 2) % len(v)]) > 0
+
+
+def exact_hull(points):
+    """Reference hull: a monotone chain on exact rational coordinates."""
+    pts = sorted({(Fraction(p.real), Fraction(p.imag)) for p in map(complex, points)})
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(pts)[:-1] + chain(pts[::-1])[:-1] if len(pts) > 1 else pts
+    return tuple(complex(float(x), float(y)) for x, y in hull)
+
+
+_coord = st.one_of(st.integers(-8, 8).map(lambda k: k / 8), st.floats(-1.0, 1.0))
+_base = st.builds(complex, _coord, _coord)
+_nudge = st.builds(complex, st.floats(-1e-300, 1e-300), st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def _cloud(draw):
+    """Points with collinear runs, copies nudged by 1e-300 and duplicates."""
+    pts = draw(st.lists(_base, min_size=1, max_size=12))
+    a, b = draw(_base), draw(_base)
+    pts += [a + (k / 8) * (b - a) for k in draw(st.lists(st.integers(0, 8), max_size=6))]
+    pts += [p + draw(_nudge) for p in draw(st.lists(st.sampled_from(pts), max_size=6))]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(points=_cloud())
+def test_hull_matches_exact_reference(points):
+    assert G.convex_hull(points).vertices == exact_hull(points)
+
+
+def test_hull_cascade_matches_exact_reference():
+    # a convex chain closed by one far point: each pass of a pruning that
+    # only tests adjacent points drops one point of the chain
+    x = np.arange(1999) / 2000
+    pts = np.concatenate((x + 1j * x ** 2, [2 - 1000j]))
+    assert G.convex_hull(pts).vertices == exact_hull(pts)
+
+
+def test_hull_keeps_every_vertex_of_a_fine_arc():
+    assert len(sets.Arc(-2, 2).to_polygon(65536)) == 65536
+
+
+def test_best_constant_of_a_tiny_circle():
+    m = sets.DEFAULT_RESOLUTION
+    inscribed = 1e-5 * (m / math.pi) * math.sin(math.pi / m)
+    assert bounds.best_constant(sets.ShiftedCircle(0, 1e-5)) == pytest.approx(inscribed, rel=1e-12)
+
+
+def test_arc_constant_converges_with_resolution():
+    exact = (4 + 2 * math.sin(2)) / TWO_PI
+    err = {res: abs(bounds.best_constant(sets.Arc(-2, 2), res) - exact) for res in (16384, 262144)}
+    assert err[262144] <= err[16384]
 
 
 # ------------------------------------------------------------- support

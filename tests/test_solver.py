@@ -387,10 +387,13 @@ def test_rotation_equivariance(rng):
 
 
 # Coordinates on a 1/8 grid keep every set inside the unit disk and make
-# duplicate and collinear points exactly degenerate.
+# duplicate and collinear points exactly degenerate; continuous float
+# coordinates, subnormals included, make them nearly degenerate.
 _grid = st.integers(-5, 5).map(lambda k: k / 8)
 _point = st.builds(complex, _grid, _grid)
+_coordinate = st.floats(-0.7, 0.7, allow_subnormal=True)
 _feasible = st.one_of(
+    st.lists(st.builds(complex, _coordinate, _coordinate), min_size=1, max_size=5),
     st.lists(_point, min_size=1, max_size=5),
     st.tuples(_point, _point).map(list),
     st.lists(_point, min_size=1, max_size=2).flatmap(
@@ -403,9 +406,11 @@ _coefficient = st.one_of(
     st.just(0j), st.builds(lambda r, phi: r * cmath.exp(1j * phi), st.floats(0.1, 1.0), _phase))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+# 500 examples: the float sets of the first 300 are all still hulled right
+# with an absolute 1e-12 turn tolerance
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(fset=_feasible, h=st.lists(_coefficient, min_size=1, max_size=6),
-       e=st.integers(-12, 12), phi=_phase)
+       e=st.sampled_from(range(-12, 13)), phi=_phase)  # st.integers seldom reaches the ends
 def test_sweep_properties(fset, h, e, phi):
     ch = solver.PhasorChannel(tuple(10.0 ** e * x for x in h))
     ideal = solver.ideal_gain(ch)
@@ -427,6 +432,21 @@ def test_minkowski_properties(fset, h, e):
     sol = solver.solve_minkowski(ch, fset)
     assert sol.gain == pytest.approx(solver.brute_force(ch, fset).gain, rel=1e-12, abs=tol)
     assert set(sol.weights.tolist()) <= set(fset.points())
+
+
+@pytest.mark.parametrize("points", [
+    (0j, -0.5j, -5.27e-282 + 0j),
+    (0j, 0.5 + 0j, -1.2e-301 + 0.25j, -2.2e-311 + 0.5j),
+])
+def test_sweep_on_nearly_collinear_sets(points):
+    # hulls whose turns lie far below any absolute tolerance
+    fset = sets.Discrete(points)
+    for h in ((1 + 0j,), (0.3 - 0.8j, -0.6 + 0.1j)):
+        ch = solver.PhasorChannel(h)
+        gain = solver.solve_angle_sweep(ch, fset).gain
+        assert gain == pytest.approx(solver.brute_force(ch, fset).gain, rel=1e-12)
+        assert gain >= bounds.best_constant(fset) * solver.ideal_gain(ch) * (1.0 - 1e-12)
+        assert solver.solve_minkowski(ch, fset).gain == pytest.approx(gain, rel=1e-12)
 
 
 def test_minkowski_matches_sweep_at_large_n(rng):
