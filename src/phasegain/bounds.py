@@ -85,15 +85,9 @@ def onoff_small_n_constant(N: int) -> float:
 
 
 def build_report(fset: FeasibleSet, N: int | None = None,
-                 resolution: int = DEFAULT_RESOLUTION,
-                 poly: geometry.ConvexPolygon | None = None) -> BoundReport:
-    """Assemble the full constants report for one feasible set.
-
-    `poly` is the hull `fset.to_polygon(resolution)`, if the caller has
-    already built it.
-    """
-    if poly is None:
-        poly = fset.to_polygon(resolution)
+                 resolution: int = DEFAULT_RESOLUTION) -> BoundReport:
+    """Assemble the full constants report for one feasible set."""
+    poly = fset.to_polygon(resolution)
     per = geometry.perimeter(poly)
     best = per / TWO_PI
     refined = None

@@ -54,8 +54,8 @@ def _emit(payload: dict, as_csv: bool, rows=None, header=None):
 
 def cmd_analyze(args) -> int:
     fset = _load_set(args.set)
-    poly = fset.to_polygon(args.resolution)
-    report = bounds.build_report(fset, N=args.n, resolution=args.resolution, poly=poly)
+    report = bounds.build_report(fset, N=args.n, resolution=args.resolution)
+    poly = fset.to_polygon(args.resolution)  # kept on fset by build_report
     payload = report.to_dict()
     payload["set"] = fset.descriptor()
     payload["hull_vertices"] = np.stack((poly.array.real, poly.array.imag), axis=1).tolist()

@@ -45,17 +45,20 @@ def _cross(o: complex, a: complex, b: complex) -> float:
     return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
 
 
-def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Exact sign of cross(b - a, c - a), elementwise over complex arrays.
+def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sign of cross(b - a, c - a) elementwise, and its rounded value.
 
-    +1 where a, b, c turn counter-clockwise, -1 where they turn clockwise,
-    0 where they are collinear.  A float filter decides almost every
-    triple; the rest are evaluated in integer arithmetic.
+    Returns (sign, det).  sign is +1 where a, b, c turn counter-clockwise,
+    -1 where they turn clockwise and 0 where they are collinear: a float
+    filter decides almost every triple, the rest are evaluated in integer
+    arithmetic.  det is the determinant rounded to float, twice the signed
+    area of the triangle.  It is taken from b, so a point b close to one
+    end of a long segment a-c keeps its digits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ac, bc = a - c, b - c
-        detleft = ac.real * bc.imag
-        detright = ac.imag * bc.real
+        ab, cb = a - b, c - b
+        detleft = cb.real * ab.imag
+        detright = cb.imag * ab.real
         det = detleft - detright
         detsum = np.abs(detleft, out=detleft)
         detsum += np.abs(detright, out=detright)
@@ -65,14 +68,14 @@ def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     sign = np.sign(det)
     if not sure.all():
         unsure = np.flatnonzero(~sure)
-        ac, bc = ac[unsure], bc[unsure]
+        ab, cb = ab[unsure], cb[unsure]
         # A difference of floats rounds to 0 only where it is 0, so with a
         # zero factor in both products det is exactly 0.
-        zero = ((ac.real == 0) | (bc.imag == 0)) & ((ac.imag == 0) | (bc.real == 0))
+        zero = ((cb.real == 0) | (ab.imag == 0)) & ((cb.imag == 0) | (ab.real == 0))
         sign[unsure[zero]] = 0
         for k in unsure[~zero]:
             sign[k] = _exact_orient(a[k], b[k], c[k])
-    return sign
+    return sign, det
 
 
 def _exact_orient(a: complex, b: complex, c: complex) -> int:
@@ -107,7 +110,7 @@ class ConvexPolygon:
             raise ValueError(f"non-finite vertex {complex(verts[~finite][0])!r}")
         if len(verts) >= 3:
             closed = np.concatenate((verts, verts[:2]))
-            if not (_orient(closed[:-2], closed[1:-1], closed[2:]) > 0).all():
+            if not (_orient(closed[:-2], closed[1:-1], closed[2:])[0] > 0).all():
                 raise ValueError("vertices are not strictly convex CCW")
         elif len(verts) == 2 and verts[0] == verts[1]:
             raise ValueError("duplicate vertices in a 2-vertex polygon")
@@ -137,28 +140,37 @@ class SupportEvaluation:
 def _chain(pts: np.ndarray) -> np.ndarray:
     """Lower hull chain of distinct, lexicographically sorted points.
 
-    A point is dropped where two survivors that straddle it in sort order
-    do not turn strictly left around it: it lies on or above their
-    segment, so it is no vertex of the lower hull.  Each pass tests every
-    inner survivor at once against its two neighbours, and against one
-    neighbour paired with the survivor s places away on the other side
-    (clamped to the ends).  s doubles while those far pairs drop points
-    and restarts at 2 once they drop none, so a run of points hidden
-    behind one far point goes in O(log n) passes, not one pass per point.
-    Once every neighbour triple turns left, the survivors form a strictly
-    convex chain, and no far pair can drop a point.
+    A point is dropped where two points that straddle it in sort order do
+    not turn strictly left around it: it lies on or above their segment,
+    so it is no vertex of the lower hull.  Each pass tests every inner
+    survivor at once against its two neighbours, and those that pass,
+    other than anchors, against the two anchors around them.  The anchors
+    start as the two ends; each pass adds, between two anchors, the
+    survivor farthest below their segment (a quickhull step).  So points
+    hidden behind a few far points go in a few passes, and the dents of a
+    sampled curve in about log2 of its sample count; only hull vertices
+    spaced so unevenly that each quickhull step splits off one of them,
+    with points hidden between them, cost a pass per vertex.  Once every
+    neighbour triple turns left, the survivors form a strictly convex
+    chain.
     """
-    s = 2
+    anchor = np.zeros(len(pts), dtype=bool)
+    anchor[[0, -1]] = True
     while len(pts) > 2:
-        before, mid, after = pts[:-2], pts[1:-1], pts[2:]
-        keep = _orient(before, mid, after) > 0
+        keep = _orient(pts[:-2], pts[1:-1], pts[2:])[0] > 0
         if keep.all():
             break
-        inner = np.arange(1, len(pts) - 1)
-        far = ((_orient(before, mid, pts[np.minimum(inner + s, len(pts) - 1)]) > 0)
-               & (_orient(pts[np.maximum(inner - s, 0)], mid, after) > 0))
-        pts = pts[np.concatenate(([True], keep & far, [True]))]
-        s = 2 * s if not far.all() else 2
+        seg = np.cumsum(anchor) - 1  # the anchor at or before each point
+        at = np.flatnonzero(anchor)
+        q = np.flatnonzero(keep & ~anchor[1:-1]) + 1  # kept by the neighbour test
+        sign, det = _orient(pts[at[seg[q]]], pts[q], pts[at[seg[q] + 1]])
+        keep[q[sign <= 0] - 1] = False
+        depth = np.full(len(pts), -np.inf)
+        depth[q] = det
+        deepest = np.fmax.reduceat(depth, at[:-1])[seg[:-1]]
+        anchor[:-1] |= (depth[:-1] == deepest) & (depth[:-1] > 0)
+        survive = np.concatenate(([True], keep, [True]))
+        pts, anchor = pts[survive], anchor[survive]
     return pts
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import phasegain
-from phasegain import bounds, cli, sets, solver
+from phasegain import bounds, cli, geometry, sets, solver
 
 REGULAR4 = '{"type": "regular", "M": 4}'
 
@@ -63,13 +63,13 @@ def test_analyze_csv_output(capsys):
 
 def test_analyze_builds_the_hull_once(capsys, monkeypatch):
     builds = []
-    to_polygon = sets.FeasibleSet.to_polygon
+    convex_hull = geometry.convex_hull
 
-    def counted(self, *args, **kwargs):
-        builds.append(self)
-        return to_polygon(self, *args, **kwargs)
+    def counted(points):
+        builds.append(points)
+        return convex_hull(points)
 
-    monkeypatch.setattr(sets.FeasibleSet, "to_polygon", counted)
+    monkeypatch.setattr(geometry, "convex_hull", counted)
     payload = run_json(capsys, "analyze", REGULAR4, "--n", "8")
     assert len(builds) == 1
     assert payload["refined_constant"] == bounds.refined_constant(sets.RegularMGon(4), 8)

@@ -118,12 +118,25 @@ def test_hull_matches_exact_reference(points):
     assert G.convex_hull(points).vertices == exact_hull(points)
 
 
-def test_hull_cascade_matches_exact_reference():
-    # a convex chain closed by one far point: each pass of a pruning that
-    # only tests adjacent points drops one point of the chain
-    x = np.arange(1999) / 2000
-    pts = np.concatenate((x + 1j * x ** 2, [2 - 1000j]))
+def _convex_run(x, far):
+    return np.concatenate((x + 1j * x ** 2, far))
+
+
+@pytest.mark.parametrize("pts", [
+    _convex_run(np.arange(1999) / 2000, [2 - 1000j]),
+    _convex_run(np.linspace(-0.5, 0.5, 4000), [-0.7j]),
+    _convex_run(np.linspace(-0.5, 0.5, 4000),
+                np.random.default_rng(5).uniform(-0.5, 0.5, 30) - 0.5j),
+], ids=["closed-by-one", "one-inside", "thirty-inside"])
+def test_hull_of_a_convex_run_with_far_points(monkeypatch, pts):
+    # a pruning that tests each point only against points a fixed offset
+    # away drops one or two points of the run per pass, so it takes one
+    # pass per point; the pass count is bounded here by counting _orient
+    calls = []
+    orient = G._orient
+    monkeypatch.setattr(G, "_orient", lambda *abc: calls.append(1) or orient(*abc))
     assert G.convex_hull(pts).vertices == exact_hull(pts)
+    assert len(calls) <= 20
 
 
 def test_hull_keeps_every_vertex_of_a_fine_arc():
