@@ -1,16 +1,21 @@
 """Command-line front end.
 
 Subcommands: analyze, solve, worst-case, fading, oracle-compare.
-Payloads go to stdout as JSON by default; --csv switches to tabular
-output.  Exit codes: 0 success, 1 input error, 2 budget/limit error.
+Each payload goes to stdout as one compact JSON line, byte for byte what
+`json.dumps` prints for it; --csv switches to tabular output.  `_emit` is
+the one encoder: it writes weight and vertex arrays itself, encoding each
+distinct value once, and a payload holding NaN or infinity (a result that
+overflowed) is an input error that leaves stdout empty.  The parser is
+built once per process, so repeated `main` calls skip that cost.
+Exit codes: 0 success, 1 input error, 2 budget/limit error.
 The env var PHASEGAIN_BUDGET overrides the vertex/enumeration caps.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import os
 import sys
 
@@ -38,18 +43,50 @@ def _budget(default: int) -> int:
     return int(env) if env else default
 
 
+def _json(value) -> str:
+    """`json.dumps(value)` with no NaN or infinity; a complex ndarray is
+    encoded as `[[re, im], ...]`, each distinct value (by bit pattern, so
+    -0.0 and 0.0 stay apart) once."""
+    if not isinstance(value, np.ndarray):
+        return json.dumps(value, allow_nan=False)
+    value = np.ascontiguousarray(value, dtype=complex)
+    if not np.isfinite(value).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    bits = value.view(np.dtype((np.void, value.itemsize)))
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    # json.dumps writes a finite float as its repr
+    encoded = [f"[{re!r}, {im!r}]"
+               for re, im in zip(value.real[first].tolist(), value.imag[first].tolist())]
+    return "[" + ", ".join([encoded[i] for i in inverse.tolist()]) + "]"
+
+
+def _field(key: str, value) -> str:
+    try:
+        return _json(value)
+    except ValueError:  # only NaN and infinity fail to encode
+        raise PhasegainError(f"{key} overflows: a non-finite value has no JSON form") from None
+
+
 def _emit(payload: dict, as_csv: bool, rows=None, header=None):
+    """Write the payload as one compact JSON line, or as CSV.
+
+    The whole text is built before any of it is written, so a payload that
+    cannot be encoded leaves stdout empty.
+    """
     if not as_csv:
-        sys.stdout.write(json.dumps(payload) + "\n")
-        return
-    if rows is not None:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(repr(x) if isinstance(x, float) else str(x)
-                                      for x in row) + "\n")
+        text = "{" + ", ".join(f"{json.dumps(key)}: {_field(key, value)}"
+                               for key, value in payload.items()) + "}\n"
+    elif rows is not None:
+        text = "".join(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n"
+                       for row in [header, *rows])
     else:
-        for key, value in payload.items():
-            sys.stdout.write(f"{key},{json.dumps(value)}\n")
+        text = "".join(f"{key},{_field(key, value)}\n" for key, value in payload.items())
+    sys.stdout.write(text)
+
+
+def _solution_payload(sol, fset) -> dict:
+    """The solution's fields in `to_dict()`'s order, weights still an array, and the set."""
+    return dict(vars(sol), set=fset.descriptor())
 
 
 def cmd_analyze(args) -> int:
@@ -58,7 +95,7 @@ def cmd_analyze(args) -> int:
     poly = fset.to_polygon(args.resolution)  # kept on fset by build_report
     payload = report.to_dict()
     payload["set"] = fset.descriptor()
-    payload["hull_vertices"] = np.stack((poly.array.real, poly.array.imag), axis=1).tolist()
+    payload["hull_vertices"] = poly.array
     _emit(payload, args.csv)
     return 0
 
@@ -81,9 +118,7 @@ def cmd_solve(args) -> int:
     else:  # sweep, and auto: exact for discrete sets, exact up to the hull
         # resolution for continuous ones
         sol = solver.solve_angle_sweep(ch, fset, resolution=args.resolution)
-    payload = sol.to_dict()
-    payload["set"] = fset.descriptor()
-    _emit(payload, args.csv)
+    _emit(_solution_payload(sol, fset), args.csv)
     return 0
 
 
@@ -96,8 +131,7 @@ def cmd_worst_case(args) -> int:
     else:
         ch = solver.worst_case_channel(args.n)
     sol = solver.solve_angle_sweep(ch, fset)
-    payload = sol.to_dict()
-    payload["set"] = fset.descriptor()
+    payload = _solution_payload(sol, fset)
     payload["N"] = args.n
     payload["best_constant"] = bounds.best_constant(fset)
     try:
@@ -167,7 +201,9 @@ def cmd_oracle_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="phasegain",
         description="Beamforming gain analysis for nonideal phase-shifter sets")
@@ -226,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceeded, TooLarge) as exc:

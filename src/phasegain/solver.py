@@ -92,15 +92,22 @@ class PhasorChannel:
     @classmethod
     def from_csv_text(cls, text: str) -> "PhasorChannel":
         """One `re,im` row per antenna, blank rows skipped; a `direct,re,im`
-        row anywhere sets the direct path (the last one wins)."""
+        row anywhere sets the direct path (the last one wins).
+
+        The antenna rows go to `np.loadtxt` in one batch; only a text that
+        holds the word "direct" is scanned row by row for direct rows.
+        """
+        rows = [line for line in text.splitlines() if line.strip(_BLANK)]
         direct = None
-        rows = []
-        for line in text.splitlines():
-            head, _, rest = line.partition(",")
-            if head.strip() == "direct":
-                direct = _pairs(_floats, [rest.split(",")], "channel row direct,re,im")[0]
-            elif line.strip(_BLANK):
-                rows.append(line)
+        if "direct" in text:
+            antennas = []
+            for line in rows:
+                head, _, rest = line.partition(",")
+                if head.strip() == "direct":
+                    direct = _pairs(_floats, [rest.split(",")], "channel row direct,re,im")[0]
+                else:
+                    antennas.append(line)
+            rows = antennas
         return cls(_pairs(_csv_floats, rows, "channel rows"), direct=direct)
 
     @classmethod

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phasegain
@@ -166,25 +167,130 @@ def test_solve_channel_rows_blank_whitespace_and_direct(capsys, tmp_path):
     assert payload["gain"] == pytest.approx(3.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("desc,text,method", [
-    (REGULAR4, "0.7,-0.2\n-0.3,0.9\n1.1,0.4\n", "sweep"),
-    (REGULAR4, "0.7,-0.2\n-0.3,0.9\n1.1,0.4\n", "greedy"),
-    ('{"type": "regular", "M": 8}', "direct,0.3,0.1\n0.7,-0.2\n-0.3,0.9\n", "auto"),
-])
-def test_solve_prints_one_json_line(capsys, tmp_path, desc, text, method):
-    path = write_channel(tmp_path, text)
-    code, out, err = run(capsys, "solve", desc, path, "--method", method)
-    assert code == 0, err
-    assert out.endswith("\n") and out.count("\n") == 1
+SIGNED_ZEROS = '{"type": "discrete", "points": [[1, 0.0], [-0.0, 1], [-1, -0.0], [0.0, -1]]}'
+ARC = '{"type": "arc", "phi_min": -2, "phi_max": 2}'
+ROWS = "0.7,-0.2\n-0.3,0.9\n1.1,0.4\n-0.5,-0.5\n0.2,1\n"
+
+
+def expected_solution(desc, path, method, resolution):
+    """The library's answer to `phasegain solve desc path --method method`."""
     fset = sets.from_descriptor(json.loads(desc))
     ch = solver.PhasorChannel.load(path)
     if ch.direct is not None:
-        sol = solver.ris_solve(ch, fset.M)
-    elif method == "greedy":
-        sol = solver.greedy_quantize(ch, fset)
-    else:
-        sol = solver.solve_angle_sweep(ch, fset)
-    assert json.loads(out) == dict(sol.to_dict(), set=fset.descriptor())
+        return fset, solver.ris_solve(ch, fset.M)
+    if method == "greedy":
+        return fset, solver.greedy_quantize(ch, fset, resolution=resolution)
+    return fset, solver.solve_angle_sweep(ch, fset, resolution=resolution)
+
+
+@pytest.mark.parametrize("desc,text,method,resolution", [
+    (REGULAR4, ROWS, "sweep", 4096),
+    (REGULAR4, ROWS, "greedy", 4096),
+    ('{"type": "regular", "M": 8}', ROWS, "sweep", 4096),
+    ('{"type": "regular", "M": 8}', ROWS, "greedy", 4096),
+    ('{"type": "onoff"}', ROWS, "sweep", 4096),
+    ('{"type": "onoff"}', ROWS, "greedy", 4096),
+    (SIGNED_ZEROS, ROWS, "sweep", 4096),
+    (SIGNED_ZEROS, ROWS, "greedy", 4096),
+    (ARC, ROWS, "sweep", 64),
+    (ARC, ROWS, "greedy", 64),
+    ('{"type": "regular", "M": 8}', "direct,0.3,0.1\n0.7,-0.2\n-0.3,0.9\n", "auto", 4096),
+])
+def test_solve_prints_one_json_line(capsys, tmp_path, desc, text, method, resolution):
+    path = write_channel(tmp_path, text)
+    code, out, err = run(capsys, "solve", desc, path, "--method", method,
+                         "--resolution", str(resolution))
+    assert code == 0, err
+    fset, sol = expected_solution(desc, path, method, resolution)
+    assert out == json.dumps(dict(sol.to_dict(), set=fset.descriptor())) + "\n"
+    if desc == SIGNED_ZEROS:  # the case must put both zeros in the output
+        parts = np.concatenate((sol.weights.real, sol.weights.imag))
+        assert len(set(np.signbit(parts[parts == 0]).tolist())) == 2
+
+
+SIGNED = np.array([complex(1, 0.0), complex(1, -0.0), complex(-0.0, 0.0), 0j,
+                   complex(-0.0, -0.0), complex(1, 0.0), complex(-0.0, 0.0)])
+
+
+@pytest.mark.parametrize("weights", [SIGNED, SIGNED[::2], SIGNED[:1], SIGNED[:0]])
+def test_array_encoding_keeps_signed_zeros_apart(weights):
+    assert cli._json(weights) == json.dumps(
+        np.stack((weights.real, weights.imag), axis=1).tolist())
+
+
+def test_array_encoding_rejects_non_finite_values():
+    with pytest.raises(ValueError):
+        cli._json(np.array([1 + 0j, complex(math.inf, 0)]))
+
+
+def test_solve_csv_output_is_byte_identical(capsys, tmp_path):
+    path = write_channel(tmp_path, ROWS)
+    code, out, err = run(capsys, "solve", SIGNED_ZEROS, path, "--csv")
+    assert code == 0, err
+    fset, sol = expected_solution(SIGNED_ZEROS, path, "auto", 4096)
+    payload = dict(sol.to_dict(), set=fset.descriptor())
+    assert out == "".join(f"{key},{json.dumps(value)}\n" for key, value in payload.items())
+
+
+def test_worst_case_output_is_byte_identical(capsys):
+    code, out, err = run(capsys, "worst-case", REGULAR4, "--n", "16")
+    assert code == 0, err
+    fset = sets.RegularMGon(4)
+    sol = solver.solve_angle_sweep(solver.worst_case_channel(16), fset)
+    payload = dict(sol.to_dict(), set=fset.descriptor(), N=16,
+                   best_constant=bounds.best_constant(fset),
+                   refined_constant=bounds.refined_constant(fset, 16))
+    assert out == json.dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("desc", [REGULAR4, SIGNED_ZEROS, ARC])
+def test_analyze_output_is_byte_identical(capsys, desc):
+    code, out, err = run(capsys, "analyze", desc, "--resolution", "64")
+    assert code == 0, err
+    fset = sets.from_descriptor(json.loads(desc))
+    poly = fset.to_polygon(64)
+    payload = dict(bounds.build_report(fset, resolution=64).to_dict(), set=fset.descriptor(),
+                   hull_vertices=np.stack((poly.array.real, poly.array.imag), axis=1).tolist())
+    assert out == json.dumps(payload) + "\n"
+
+
+def test_solve_gain_overflow_exits_1(capsys, tmp_path):
+    # the optimum of these rows, 3e308, overflows to inf, which has no JSON form
+    path = write_channel(tmp_path, "1e308,0\n0,1e308\n-1e308,0\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "solve", '{"type":"regular","M":4}', path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: gain overflows")
+
+
+def run_fresh_or_reused(capsys, argv, fresh):
+    """`run`, with a parser built for this call alone if `fresh`; an
+    argparse error counts as its exit code."""
+    if fresh:
+        cli.build_parser.cache_clear()
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("first,second", [
+    (["solve", ARC, "CH", "--csv"], ["solve", ARC, "CH"]),
+    (["solve", ARC, "CH", "--resolution", "64"], ["solve", ARC, "CH"]),
+    (["analyze", ARC, "--resolution", "64", "--n", "4"], ["analyze", ARC]),
+    (["solve", ARC, "CH", "--csv", "--method", "nope"], ["solve", ARC, "CH"]),
+])
+def test_reused_parser_leaks_no_state(capsys, tmp_path, first, second):
+    ch = write_channel(tmp_path, ROWS)
+    first, second = ([ch if a == "CH" else a for a in argv] for argv in (first, second))
+    expected = [run_fresh_or_reused(capsys, argv, fresh=True) for argv in (first, second)]
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    got = [run_fresh_or_reused(capsys, argv, fresh=False) for argv in (first, second)]
+    assert cli.build_parser() is parser
+    assert got == expected
+    assert got[1][0] == 0
 
 
 def test_python_m_phasegain(tmp_path):
